@@ -353,11 +353,17 @@ fn fetch_command(args: &[String]) -> ! {
     let wait = extras.iter().any(|(f, _)| f == "--wait");
     let output = extras.iter().find(|(f, _)| f == "--output").map(|(_, v)| v.clone());
     let path = format!("/v1/runs/{id}/result");
+    // Short runs finish in tens of milliseconds: poll fast at first, then
+    // back off to a 300 ms ceiling for long ones.
+    let mut pause = std::time::Duration::from_millis(5);
     let body = loop {
         let (status, body) = api(&connect, "GET", &path, token.as_deref(), None);
         match status {
             200 => break body,
-            409 if wait => std::thread::sleep(std::time::Duration::from_millis(300)),
+            409 if wait => {
+                std::thread::sleep(pause);
+                pause = (pause * 2).min(std::time::Duration::from_millis(300));
+            }
             _ => run_fail(&format!("fetch failed ({status}): {}", api_error(&body))),
         }
     };

@@ -522,14 +522,16 @@ fn trial_from_payload(
 /// does not (thread/worker counts, directory paths, spec names). Under
 /// checkpoint warm-up the *content hash of the snapshot file* stands in
 /// for the mode, so the same snapshot moved to another directory still
-/// hits while a re-saved one misses.
+/// hits while a re-saved one misses. `config` and `stop` are the arm's
+/// config and the sweep's stop condition as canonical JSON.
 fn cell_descriptor(
     sweep: &Sweep,
     bench: &Benchmark,
     label: &str,
-    cfg: &SimConfig,
+    config: &Json,
+    stop: Option<&Json>,
     ckpt_hash: Option<&str>,
-) -> Result<String, String> {
+) -> String {
     let mode = match (&sweep.warmup_mode, ckpt_hash) {
         (WarmupMode::Checkpoint { .. }, Some(h)) => {
             Json::Obj(vec![("checkpoint".into(), Json::Str(h.into()))])
@@ -544,12 +546,33 @@ fn cell_descriptor(
         ("warmup".into(), Json::Num(sweep.warmup.to_string())),
         ("warmup_mode".into(), mode),
         ("label".into(), Json::Str(label.into())),
-        ("config".into(), Json::parse(&cfg.to_json())?),
+        ("config".into(), config.clone()),
     ];
-    if let Some(stop) = &sweep.stop {
-        fields.push(("stop".into(), Json::parse(&stop.to_json())?));
+    if let Some(stop) = stop {
+        fields.push(("stop".into(), stop.clone()));
     }
-    Ok(Json::Obj(fields).dump())
+    Json::Obj(fields).dump()
+}
+
+/// Every cell's cache key, in grid order. Each arm's config and the
+/// stop condition are encoded once per sweep, not once per cell.
+fn cell_keys(sweep: &Sweep) -> Result<Vec<String>, String> {
+    let ckpt_hashes = checkpoint_hashes(sweep)?;
+    let configs = sweep
+        .configs
+        .iter()
+        .map(|(_, cfg)| Json::parse(&cfg.to_json()))
+        .collect::<Result<Vec<Json>, String>>()?;
+    let stop = sweep.stop.as_ref().map(|s| Json::parse(&s.to_json())).transpose()?;
+    let mut keys = Vec::with_capacity(sweep.benchmarks.len() * configs.len());
+    for (bench, ckpt_hash) in sweep.benchmarks.iter().zip(&ckpt_hashes) {
+        for ((label, _), config) in sweep.configs.iter().zip(&configs) {
+            let desc =
+                cell_descriptor(sweep, bench, label, config, stop.as_ref(), ckpt_hash.as_deref());
+            keys.push(ResultCache::key(&desc));
+        }
+    }
+    Ok(keys)
 }
 
 // ----- the coordinator --------------------------------------------------
@@ -573,23 +596,18 @@ pub(crate) fn run_sweep_distributed(
     let narms = sweep.configs.len();
     let total = sweep.benchmarks.len() * narms;
     let cache = opts.cache.as_ref().map(ResultCache::open).transpose()?;
-    let ckpt_hashes = checkpoint_hashes(sweep, cache.is_some())?;
+    let keys = cache.as_ref().map(|_| cell_keys(sweep)).transpose()?;
 
     let mut trials: Vec<Option<Trial>> = (0..total).map(|_| None).collect();
-    let mut keys: Vec<Option<String>> = vec![None; total];
     let mut hits = 0usize;
     let mut misses: Vec<u64> = Vec::new();
     for i in 0..total {
-        let (bi, ai) = (i / narms, i % narms);
-        let bench = &sweep.benchmarks[bi];
-        let (label, cfg) = &sweep.configs[ai];
-        if let Some(cache) = &cache {
-            let desc = cell_descriptor(sweep, bench, label, cfg, ckpt_hashes[bi].as_deref())?;
-            let key = ResultCache::key(&desc);
+        if let (Some(cache), Some(keys)) = (&cache, &keys) {
+            let bench = sweep.benchmarks[i / narms].name;
+            let label = &sweep.configs[i % narms].0;
             let hit = cache
-                .load(&key)
-                .and_then(|payload| trial_from_payload(bench.name, label, &payload).ok());
-            keys[i] = Some(key);
+                .load(&keys[i])
+                .and_then(|payload| trial_from_payload(bench, label, &payload).ok());
             if let Some(trial) = hit {
                 trials[i] = Some(trial);
                 hits += 1;
@@ -641,9 +659,9 @@ pub(crate) fn run_sweep_distributed(
             let (bi, ai) = (i / narms, i % narms);
             let trial =
                 trial_from_payload(sweep.benchmarks[bi].name, &sweep.configs[ai].0, payload)?;
-            if let (Some(cache), Some(key)) = (&cache, &keys[i]) {
+            if let (Some(cache), Some(keys)) = (&cache, &keys) {
                 let entry = Json::Obj(vec![("result".into(), payload.req("result")?.clone())]);
-                cache.store(key, &entry)?;
+                cache.store(&keys[i], &entry)?;
             }
             trials[i] = Some(trial);
         }
@@ -669,12 +687,11 @@ pub(crate) fn run_sweep_distributed(
     ))
 }
 
-/// Under checkpoint warm-up with a cache, each snapshot file's content
-/// hash goes into its row's cache keys (file existence was validated by
-/// the caller).
-fn checkpoint_hashes(sweep: &Sweep, caching: bool) -> Result<Vec<Option<String>>, String> {
+/// Under checkpoint warm-up, each snapshot file's content hash goes into
+/// its row's cache keys (file existence was validated by the caller).
+fn checkpoint_hashes(sweep: &Sweep) -> Result<Vec<Option<String>>, String> {
     match &sweep.warmup_mode {
-        WarmupMode::Checkpoint { dir } if caching => sweep
+        WarmupMode::Checkpoint { dir } => sweep
             .benchmarks
             .iter()
             .map(|b| {
@@ -719,25 +736,7 @@ fn run_sweep_served(
     let narms = sweep.configs.len();
     let total = sweep.benchmarks.len() * narms;
     let cache = opts.cache.as_ref().map(ResultCache::open).transpose()?;
-    let ckpt_hashes = checkpoint_hashes(sweep, cache.is_some())?;
-    let keys: Option<Vec<String>> = if cache.is_some() {
-        let mut keys = Vec::with_capacity(total);
-        for i in 0..total {
-            let (bi, ai) = (i / narms, i % narms);
-            let (label, cfg) = &sweep.configs[ai];
-            let desc = cell_descriptor(
-                sweep,
-                &sweep.benchmarks[bi],
-                label,
-                cfg,
-                ckpt_hashes[bi].as_deref(),
-            )?;
-            keys.push(ResultCache::key(&desc));
-        }
-        Some(keys)
-    } else {
-        None
-    };
+    let keys = cache.as_ref().map(|_| cell_keys(sweep)).transpose()?;
 
     let listener = std::net::TcpListener::bind(addr)
         .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
@@ -956,6 +955,43 @@ mod tests {
             .config("base", SimConfig::baseline())
             .config("integration", SimConfig::default())
             .instructions(1_500)
+    }
+
+    /// One cell's descriptor for an arbitrary config, encoding it on the
+    /// spot ([`cell_keys`] encodes each arm once per sweep).
+    fn cell_descriptor(
+        sweep: &Sweep,
+        bench: &Benchmark,
+        label: &str,
+        cfg: &SimConfig,
+        ckpt_hash: Option<&str>,
+    ) -> Result<String, String> {
+        let config = Json::parse(&cfg.to_json())?;
+        let stop = sweep.stop.as_ref().map(|s| Json::parse(&s.to_json())).transpose()?;
+        Ok(super::cell_descriptor(sweep, bench, label, &config, stop.as_ref(), ckpt_hash))
+    }
+
+    #[test]
+    fn fig4_cell_keys_are_pinned() {
+        // Every trial cache on disk is filed under these keys. A change
+        // to any descriptor byte orphans all of them, so it must be a
+        // deliberate one that updates these values and says so.
+        let spec = crate::ExperimentSpec::from_json(include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../specs/fig4.json"
+        )))
+        .expect("fig4 spec parses");
+        let sweep = spec.sweep(&Harness::default());
+        let keys = cell_keys(&sweep).expect("keys");
+        assert_eq!(keys.len(), 16 * 9);
+        assert_eq!(keys[0], "96ffb8d2b4e7a8fd98715db1ecf01d2a", "bzip2/base");
+        assert_eq!(keys[143], "0d72d8695d66fdb1afbd2a3f647906e6", "vpr.r/+reverse*");
+        // The once-per-arm encoding matches encoding every cell afresh.
+        for (i, key) in keys.iter().enumerate() {
+            let (label, cfg) = &sweep.configs[i % 9];
+            let desc = cell_descriptor(&sweep, &sweep.benchmarks[i / 9], label, cfg, None);
+            assert_eq!(*key, ResultCache::key(&desc.expect("descriptor")), "cell {i}");
+        }
     }
 
     #[test]

@@ -289,6 +289,31 @@ fn cache_subcommand_reports_and_prunes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A hostile body of 300 000 nested `[` (well under the body cap) is
+/// refused with a structured 400 instead of overflowing the parser's
+/// stack, and the server goes on serving.
+#[test]
+fn deeply_nested_body_is_refused_and_server_survives() {
+    let dir = scratch("nesting");
+    let spec = write_spec(&dir, SPEC);
+    let api = spawn_api(&dir.join("data"), &["--executors", "0"], &[]);
+
+    let hostile = "[".repeat(300_000);
+    let (status, body) =
+        rix_serve::client::request(&api.addr, "POST", "/v1/runs", None, Some(&hostile))
+            .expect("the server answers");
+    assert_eq!(status, 400, "{body}");
+    let body = Json::parse(&body).expect("error body parses");
+    assert_eq!(field(&body, "schema").as_str(), Some("rix-serve/1"));
+    let error = field(&body, "error").as_str().expect("error is a string");
+    assert!(error.contains("nesting deeper than"), "{error}");
+
+    let reply = exp_ok(&["submit", &spec, "--connect", &api.addr, "--json"], &[]);
+    let reply = Json::parse(&reply).expect("submit reply parses");
+    assert_eq!(field(&reply, "joined").as_bool(), Some(false));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Structured client-side failures: unknown run ids and unfinished
 /// results exit 1 with the server's error message, not a usage dump.
 #[test]

@@ -17,8 +17,9 @@
 
 use crate::hash::fnv128_hex;
 use rix_isa::json::Json;
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, SystemTime};
 
 /// The on-disk entry schema.
@@ -48,6 +49,17 @@ fn process_start() -> SystemTime {
     *START.get_or_init(SystemTime::now)
 }
 
+/// Records that this process has opened `dir`; true on the first call
+/// for that path.
+fn first_open(dir: &Path) -> bool {
+    static OPENED: OnceLock<Mutex<HashSet<PathBuf>>> = OnceLock::new();
+    OPENED
+        .get_or_init(Mutex::default)
+        .lock()
+        .expect("opened-directory set is never poisoned")
+        .insert(dir.to_path_buf())
+}
+
 /// A directory of content-addressed cell results. See the
 /// [module docs](self).
 #[derive(Clone, Debug)]
@@ -56,16 +68,21 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
-    /// Opens (creating if needed) the cache directory, sweeping away
-    /// temp files left behind by crashed writers (anything matching the
-    /// `.{key}.{pid}.tmp` shape with a modification time before this
-    /// process started).
+    /// Opens (creating if needed) the cache directory. The first open of
+    /// a directory in this process sweeps away temp files left behind by
+    /// crashed writers (anything matching the `.{key}.{pid}.tmp` shape
+    /// with a modification time before this process started). Later
+    /// opens skip the directory scan: every file it could remove was
+    /// already there at the first sweep, so opening stays cheap however
+    /// many entries the cache holds.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, String> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)
             .map_err(|e| format!("cannot create cache directory `{}`: {e}", dir.display()))?;
         let cache = Self { dir };
-        cache.sweep_stale_tmp(process_start());
+        if first_open(&cache.dir) {
+            cache.sweep_stale_tmp(process_start());
+        }
         Ok(cache)
     }
 
@@ -123,7 +140,8 @@ impl ResultCache {
         if v.get("key")?.as_str()? != key {
             return None;
         }
-        v.get("payload").cloned()
+        let Json::Obj(fields) = v else { return None };
+        fields.into_iter().find_map(|(k, payload)| (k == "payload").then_some(payload))
     }
 
     /// Stores `payload` under `key`, atomically: the entry is written
@@ -293,6 +311,28 @@ mod tests {
         std::fs::write(&live, "concurrent write in flight").unwrap();
         let cache = ResultCache::open(&dir).unwrap();
         assert!(live.exists(), "open must not sweep fresh tmp files");
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn open_sweeps_each_directory_once_per_process() {
+        let dir = scratch_dir("sweep-once");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A crash leftover: older than this process.
+        let plant = |name: &str| {
+            let path = dir.join(name);
+            std::fs::File::create(&path)
+                .unwrap()
+                .set_modified(SystemTime::UNIX_EPOCH + Duration::from_secs(1))
+                .unwrap();
+            path
+        };
+        let before = plant(".aaaa.1.tmp");
+        let cache = ResultCache::open(&dir).unwrap();
+        assert!(!before.exists(), "the first open sweeps crash leftovers");
+        let after = plant(".bbbb.2.tmp");
+        ResultCache::open(&dir).unwrap();
+        assert!(after.exists(), "later opens skip the directory scan");
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

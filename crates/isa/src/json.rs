@@ -13,6 +13,21 @@
 //!   duplicate keys),
 //! * errors carry a byte offset, enough to debug a corrupt file.
 //!
+//! The same reader decodes every wire and file format in the workspace,
+//! including request bodies from the network, so [`Json::parse`] keeps
+//! this contract:
+//!
+//! * **Linear time.** Each input byte is examined a bounded number of
+//!   times; string bodies are copied run by run, up to the next `"` or
+//!   `\`. A multi-megabyte result document parses in milliseconds.
+//! * **Bounded nesting.** Arrays and objects nest at most [`MAX_DEPTH`]
+//!   levels deep. The parser recurses once per level, so the limit is
+//!   what keeps a hostile body such as 300 000 `[` from overflowing the
+//!   stack.
+//! * **Errors are values.** Malformed input, including nesting past the
+//!   limit, returns `Err` with a one-line message that names the problem
+//!   and, where there is one, the offending byte offset (`… at byte N`).
+//!
 //! ```
 //! use rix_isa::json::Json;
 //! let v = Json::parse(r#"{"pc":3,"mem":[[4096,18446744073709551615]]}"#).unwrap();
@@ -20,6 +35,11 @@
 //! let cell = &v.get("mem").unwrap().as_arr().unwrap()[0];
 //! assert_eq!(cell.as_arr().unwrap()[1].as_u64(), Some(u64::MAX));
 //! ```
+
+/// How deeply arrays and objects may nest in a document [`Json::parse`]
+/// accepts. The deepest document the workspace writes (an experiment
+/// spec's arms, axes, points and overrides) nests about 9 levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Numbers are kept as raw text (see module docs).
 #[derive(Clone, Debug, PartialEq)]
@@ -40,11 +60,12 @@ pub enum Json {
 
 impl Json {
     /// Parses a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage is an error).
+    /// trailing garbage is an error). See the [module docs](self) for
+    /// the time, depth and error contract.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -226,7 +247,8 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value that sits inside `depth` arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
@@ -234,6 +256,10 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         Some(b't') => expect(b, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(b, pos, "false").map(|()| Json::Bool(false)),
         Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -243,7 +269,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -268,7 +294,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 fields.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -301,13 +327,25 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(b, pos, "\"")?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash in one go. Both
+        // are ASCII, so a run never splits a UTF-8 sequence, and each
+        // byte is validated exactly once.
+        let end = b[*pos..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\')
+            .map_or(b.len(), |n| *pos + n);
+        let run = std::str::from_utf8(&b[*pos..end])
+            .map_err(|e| format!("invalid UTF-8 at byte {}", *pos + e.valid_up_to()))?;
+        out.push_str(run);
+        *pos = end;
         match b.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            // The run stopped at a backslash.
+            Some(_) => {
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -335,15 +373,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences are
-                // copied verbatim).
-                let s = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {pos}", pos = *pos))?;
-                let c = s.chars().next().expect("non-empty by the match");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
     }
 }
@@ -351,6 +380,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn scalars() {
@@ -430,5 +460,86 @@ b""#,
         // The writers escape control characters as \u00XX.
         let v = Json::parse("\"a\\u000ab\"").unwrap();
         assert_eq!(v.as_str(), Some("a\nb"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_structured_error() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok(), "the limit itself parses");
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"));
+        // Objects count toward the same depth as arrays.
+        let deep_obj = |n: usize| format!("{}1{}", r#"{"k":"#.repeat(n), "}".repeat(n));
+        assert!(Json::parse(&deep_obj(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&deep_obj(MAX_DEPTH + 1)).unwrap_err().starts_with("nesting"));
+        // A hostile body far past the limit is refused, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(300_000)).unwrap_err().starts_with("nesting"));
+    }
+
+    #[test]
+    fn invalid_utf8_names_the_byte() {
+        // `Json::parse` takes `&str`, so only the byte-level reader can
+        // meet invalid UTF-8.
+        let mut pos = 0;
+        let err = parse_string(b"\"ab\xffc\"", &mut pos).unwrap_err();
+        assert_eq!(err, "invalid UTF-8 at byte 3");
+    }
+
+    #[test]
+    fn parse_is_linear_in_the_input() {
+        // A scaled-up result document: over 2 MB of string-keyed objects
+        // with multi-byte text. Re-validating the rest of the input for
+        // every string character took minutes on this.
+        let trial = r#"{"bench":"vpr.r","label":"+reverse*","note":"Ünïcödé → ✓ 𝄞","result":{"stats":{"retired":100000,"cycles":81234}}}"#;
+        let mut doc = String::from(r#"{"schema":"rix-exp-result/1","trials":["#);
+        let mut n = 0;
+        while doc.len() < 2_000_000 {
+            doc.push_str(trial);
+            doc.push(',');
+            n += 1;
+        }
+        doc.push_str(trial);
+        doc.push_str("]}");
+        let start = std::time::Instant::now();
+        let v = Json::parse(&doc).unwrap();
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_secs(5), "2 MB took {took:?}");
+        let trials = v.get("trials").and_then(Json::as_arr).unwrap();
+        assert_eq!(trials.len(), n + 1);
+        assert_eq!(trials[n].get("note").and_then(Json::as_str), Some("Ünïcödé → ✓ 𝄞"));
+    }
+
+    /// Characters that stress the run-based string copy: 2-, 3- and
+    /// 4-byte UTF-8, and the bytes a run stops at or that the writer
+    /// escapes as `\u00XX`.
+    const TRICKY: &[char] =
+        &['a', '"', '\\', '/', '\n', '\u{1}', '\u{1f}', 'é', 'ß', '€', '✓', '値', '𝄞', '😀'];
+
+    fn tricky_string() -> impl Strategy<Value = String> {
+        proptest::collection::vec(
+            prop_oneof![
+                (0..TRICKY.len()).prop_map(|i| TRICKY[i]),
+                (0u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}')),
+            ],
+            0..24,
+        )
+        .prop_map(|chars| chars.into_iter().collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn strings_round_trip_through_dump(
+            key in tricky_string(),
+            a in tricky_string(),
+            b in tricky_string(),
+        ) {
+            let v = Json::Obj(vec![
+                (key.clone(), Json::Arr(vec![Json::Str(a), Json::Num("1".into())])),
+                (b.clone(), Json::Str(key + &b)),
+            ]);
+            prop_assert_eq!(Json::parse(&v.dump()), Ok(v));
+        }
     }
 }
