@@ -59,7 +59,7 @@
 //! run. Results embed the spec fingerprint, so a record names exactly
 //! the experiment that produced it.
 
-use rix_bench::{result_doc, DispatchOptions, ExperimentSpec, Harness, Table};
+use rix_bench::{result_doc, ExperimentSpec, Harness, Table};
 
 const EXP_USAGE: &str = "\
 usage: exp run <spec.json> [flags]\n\
@@ -646,23 +646,7 @@ fn main() {
         return;
     }
 
-    let (trials, report) = if h.workers > 0 || h.cache.is_some() || h.listen.is_some() {
-        match sweep.run_distributed(&DispatchOptions::from_harness(&h)) {
-            Ok((t, r)) => {
-                eprintln!("dispatch: {}", r.summary());
-                if h.verbose {
-                    eprint!("{}", r.worker_table());
-                }
-                (t, Some(r))
-            }
-            Err(msg) => fail(&msg),
-        }
-    } else {
-        match sweep.try_run() {
-            Ok(t) => (t, None),
-            Err(msg) => fail(&msg),
-        }
-    };
+    let (trials, report) = h.run_sweep(&sweep).unwrap_or_else(|msg| fail(&msg));
     // The cache section only exists when a cache is in use; the
     // dispatch section (per-worker stats) only under --dispatch-stats —
     // neither --verbose nor worker counts may change the doc's bytes.

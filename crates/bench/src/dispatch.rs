@@ -1,18 +1,29 @@
-//! Multi-process sweep execution and the trial cache — the bench-side
+//! Distributed sweep execution and the trial cache — the bench-side
 //! glue over the generic [`rix_dispatch`] pool.
 //!
-//! A [`crate::Sweep`] serialises to a `rix-dispatch-plan/1` document
+//! ## One cell engine
+//!
+//! Every cell of a grid, wherever it runs, goes through the same two
+//! [`crate::Sweep`] methods: `prepare_row` builds a benchmark's program
+//! and prepares its warm-up provenance (loading and program-hash
+//! checking the `rix-ckpt/1` snapshot under
+//! [`crate::WarmupMode::Checkpoint`], or running the one functional
+//! fast-forward), and `run_cell` measures one (row, arm) cell. In
+//! process, `run_cells` is the only executor: [`crate::Sweep::try_run`]
+//! calls it for the whole grid on the sweep's threads, and a distributed
+//! run calls it for its cache misses, or for a served run's degraded
+//! tail, on one thread (see `IN_PROCESS_THREADS` for why). Those cells
+//! never touch JSON until a result is stored in the cache.
+//!
+//! Worker processes get the sweep as a `rix-dispatch-plan/1` document
 //! (benchmark names, labelled configs as full canonical JSON, budgets,
-//! seed, warm-up policy); the coordinator ships the plan to every
-//! worker in the `init` message and assigns **cells** — bench-major
-//! grid indices, `cell = bench_idx * narms + arm_idx`, exactly
-//! [`crate::Sweep`]'s trial order. Workers rebuild programs and warm-up
-//! state lazily per benchmark row (including loading the same
-//! `rix-ckpt/1` snapshot files under [`crate::WarmupMode::Checkpoint`],
-//! program-hash-verified like the in-process path) and send back
-//! losslessly-serialised [`rix_sim::RunResult`]s, so the merged trials
-//! are **byte-identical** to a single-process [`crate::Sweep::try_run`]
-//! for every worker count.
+//! seed, warm-up policy) in the `init` message, decode it back into a
+//! one-thread [`crate::Sweep`], prepare each row on its first cell, and
+//! answer with losslessly-serialised [`rix_sim::RunResult`]s. Cells are
+//! bench-major grid indices, `cell = bench_idx * narms + arm_idx`,
+//! exactly [`crate::Sweep`]'s trial order, so the merged trials are
+//! **byte-identical** to [`crate::Sweep::try_run`]'s for every worker
+//! count, cache state and fault history.
 //!
 //! ## The cache (`--cache DIR`)
 //!
@@ -62,12 +73,10 @@
 //! they are set for (spawned stdio workers inherit the coordinator's
 //! environment; remote workers have their own).
 
-use crate::{measure_cell, Harness, Sweep, Trial, WarmupMode};
-use rix_dispatch::{ResultCache, WorkerStat, WORKER_ARG};
-use rix_isa::interp::Interp;
+use crate::{Harness, Row, Sweep, Trial, WarmupMode};
+use rix_dispatch::{PoolSummary, ResultCache, WorkerStat, WORKER_ARG};
 use rix_isa::json::Json;
-use rix_isa::{ArchState, Program};
-use rix_sim::{Checkpoint, RunResult, SimConfig, StopWhen};
+use rix_sim::{RunResult, SimConfig, StopWhen};
 use rix_workloads::Benchmark;
 use std::time::Duration;
 
@@ -192,6 +201,22 @@ pub struct DispatchReport {
 }
 
 impl DispatchReport {
+    /// The report of a run over `cells` grid cells, `cache_hits` of them
+    /// reused and the rest simulated, with the pool's fault history.
+    fn new(cells: usize, cache_hits: usize, pool: PoolSummary) -> Self {
+        Self {
+            cells,
+            simulated: cells - cache_hits,
+            cache_hits,
+            workers_spawned: pool.workers_spawned,
+            workers_lost: pool.workers_lost,
+            retries: pool.retries,
+            degraded: pool.degraded_cells,
+            quarantined: pool.quarantined,
+            workers: pool.workers,
+        }
+    }
+
     /// One-line summary for stderr progress reporting.
     #[must_use]
     pub fn summary(&self) -> String {
@@ -327,19 +352,7 @@ fn emit_progress(p: CellProgress) {
     });
 }
 
-// ----- the worker-side plan ---------------------------------------------
-
-/// A parsed `rix-dispatch-plan/1`: everything a worker needs to run any
-/// cell of the grid.
-struct Plan {
-    benchmarks: Vec<Benchmark>,
-    arms: Vec<(String, SimConfig)>,
-    instructions: u64,
-    warmup: u64,
-    warmup_mode: WarmupMode,
-    seed: u64,
-    stop: Option<StopWhen>,
-}
+// ----- the plan (the wire form of a sweep) -----------------------------
 
 fn plan_json(sweep: &Sweep) -> Json {
     let mut fields: Vec<(String, Json)> = vec![
@@ -373,7 +386,8 @@ fn plan_json(sweep: &Sweep) -> Json {
     Json::Obj(fields)
 }
 
-fn plan_from_json(v: &Json) -> Result<Plan, String> {
+/// The worker side of [`plan_json`]: the plan as a one-thread [`Sweep`].
+fn plan_from_json(v: &Json) -> Result<Sweep, String> {
     match v.get("schema").and_then(Json::as_str) {
         Some(PLAN_SCHEMA) => {}
         other => return Err(format!("unsupported dispatch plan schema {other:?}")),
@@ -388,11 +402,6 @@ fn plan_from_json(v: &Json) -> Result<Plan, String> {
             rix_workloads::lookup(name)
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let warmup_mode = crate::spec::parse_warmup_mode(v.req("warmup_mode")?)?;
-    let stop = v
-        .get("stop")
-        .map(|s| StopWhen::from_json_value(s).map_err(|e| format!("plan stop: {e}")))
-        .transpose()?;
     let arms = v
         .req("arms")?
         .as_arr()
@@ -409,110 +418,47 @@ fn plan_from_json(v: &Json) -> Result<Plan, String> {
     if arms.is_empty() || benchmarks.is_empty() {
         return Err("dispatch plan has an empty grid".to_string());
     }
-    Ok(Plan {
-        benchmarks,
-        arms,
-        instructions: v.req_u64("instructions")?,
-        warmup: v.req_u64("warmup")?,
-        warmup_mode,
-        seed: v.req_u64("seed")?,
-        stop,
-    })
-}
-
-/// Executes plan cells with per-benchmark lazy state: the program is
-/// built — and the warm-up provenance (checkpoint load + program-hash
-/// verification, or one functional fast-forward) prepared — on the
-/// first cell of each row, then shared by the row's other cells. Kept
-/// outside the wall-clock timer, exactly like [`Sweep::try_run`]'s
-/// shared row work, so per-cell `wall` means the same thing in both.
-struct CellRunner {
-    plan: Plan,
-    programs: Vec<Option<Program>>,
-    ckpts: Vec<Option<Checkpoint>>,
-    warms: Vec<Option<ArchState>>,
-}
-
-impl CellRunner {
-    fn new(plan: Plan) -> Self {
-        let n = plan.benchmarks.len();
-        Self { plan, programs: vec![None; n], ckpts: vec![None; n], warms: vec![None; n] }
+    let mut sweep = Sweep::new()
+        .benchmarks(benchmarks)
+        .configs(arms)
+        .instructions(v.req_u64("instructions")?)
+        .warmup(v.req_u64("warmup")?)
+        .warmup_mode(crate::spec::parse_warmup_mode(v.req("warmup_mode")?)?)
+        .seed(v.req_u64("seed")?);
+    if let Some(stop) = v.get("stop") {
+        sweep = sweep.stop(StopWhen::from_json_value(stop).map_err(|e| format!("plan stop: {e}"))?);
     }
-
-    fn run(&mut self, cell: u64) -> Result<(RunResult, Duration), String> {
-        let narms = self.plan.arms.len();
-        let total = self.plan.benchmarks.len() * narms;
-        let i = usize::try_from(cell).ok().filter(|&i| i < total).ok_or_else(|| {
-            format!("cell {cell} is outside the plan's {total}-cell grid")
-        })?;
-        let (bi, ai) = (i / narms, i % narms);
-        let bench = self.plan.benchmarks[bi];
-        if self.programs[bi].is_none() {
-            self.programs[bi] = Some(bench.build(self.plan.seed));
-        }
-        let program = self.programs[bi].as_ref().ok_or("program slot just filled")?;
-        match &self.plan.warmup_mode {
-            WarmupMode::Checkpoint { dir } if self.ckpts[bi].is_none() => {
-                let path = crate::checkpoint_path(dir, bench.name, self.plan.seed);
-                let ck = Checkpoint::load(&path)
-                    .map_err(|e| format!("warm-up checkpoint for `{}`: {e}", bench.name))?;
-                if rix_sim::checkpoint::fingerprint(program) != ck.program_hash {
-                    return Err(format!(
-                        "warm-up checkpoint {} belongs to a different program than `{}` at \
-                         seed {} (wrong benchmark, or saved at another seed)",
-                        path.display(),
-                        bench.name,
-                        self.plan.seed,
-                    ));
-                }
-                self.ckpts[bi] = Some(ck);
-            }
-            WarmupMode::Functional if self.plan.warmup > 0 && self.warms[bi].is_none() => {
-                let stack_top = self.plan.arms[0].1.stack_top;
-                self.warms[bi] =
-                    Some(Interp::new(program, stack_top).fast_forward(self.plan.warmup));
-            }
-            _ => {}
-        }
-        let (_, cfg) = &self.plan.arms[ai];
-        let start = std::time::Instant::now();
-        let result = measure_cell(
-            program,
-            *cfg,
-            self.ckpts[bi].as_ref(),
-            self.warms[bi].as_ref(),
-            self.plan.warmup,
-            self.plan.stop.as_ref(),
-            self.plan.instructions,
-        );
-        Ok((result, start.elapsed()))
-    }
+    Ok(sweep)
 }
 
 // ----- payloads ---------------------------------------------------------
 
-fn payload_json(result: &RunResult, wall: Duration) -> Result<Json, String> {
-    let r = Json::parse(&rix_sim::checkpoint::result_to_json(result))?;
-    let wall_us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
-    Ok(Json::Obj(vec![
-        ("wall_us".into(), Json::Num(wall_us.to_string())),
-        ("result".into(), r),
-    ]))
+/// A cell's payload: its lossless result, plus its wall clock when
+/// given. Only stdio workers send one; cache entries and remote
+/// payloads carry no host timing, so a cell's bytes do not depend on
+/// where it ran.
+fn payload_json(result: &RunResult, wall: Option<Duration>) -> Result<Json, String> {
+    let mut fields = Vec::with_capacity(2);
+    if let Some(wall) = wall {
+        let wall_us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
+        fields.push(("wall_us".into(), Json::Num(wall_us.to_string())));
+    }
+    let result = Json::parse(&rix_sim::checkpoint::result_to_json(result))?;
+    fields.push(("result".into(), result));
+    Ok(Json::Obj(fields))
 }
 
-fn trial_from_payload(
-    bench: &'static str,
-    label: &str,
-    payload: &Json,
-) -> Result<Trial, String> {
+/// Grid cell `i` of `sweep` from its payload. Without a `wall_us` (a
+/// cache hit, a remote cell) the trial reports zero wall time.
+fn trial_from_payload(sweep: &Sweep, i: usize, payload: &Json) -> Result<Trial, String> {
+    let ncfg = sweep.configs.len();
     let result = rix_sim::checkpoint::result_from_json(payload.req("result")?)?;
-    // Cache entries carry no wall clock (host timing is not content);
-    // a reused trial reports zero.
     let wall = payload
         .get("wall_us")
         .and_then(Json::as_u64)
         .map_or(Duration::ZERO, Duration::from_micros);
-    Ok(Trial { bench, config_label: label.to_string(), result, wall })
+    let (bench, label) = (sweep.benchmarks[i / ncfg].name, &sweep.configs[i % ncfg].0);
+    Ok(Trial { bench, config_label: label.clone(), result, wall })
 }
 
 // ----- cache keys -------------------------------------------------------
@@ -575,118 +521,6 @@ fn cell_keys(sweep: &Sweep) -> Result<Vec<String>, String> {
     Ok(keys)
 }
 
-// ----- the coordinator --------------------------------------------------
-
-/// Runs `sweep` under `opts`: consult the cache, simulate the misses
-/// (in worker processes, or in-process when `opts.workers == 0`), store
-/// fresh results back, and return the full trial grid in
-/// [`Sweep::try_run`] order. See the [module docs](self).
-pub(crate) fn run_sweep_distributed(
-    sweep: &Sweep,
-    opts: &DispatchOptions,
-) -> Result<(Vec<Trial>, DispatchReport), String> {
-    if let Some(addr) = &opts.listen {
-        if opts.workers > 0 {
-            return Err("--listen and --workers are mutually exclusive".to_string());
-        }
-        return run_sweep_served(sweep, opts, addr);
-    }
-    sweep.validate()?;
-    sweep.validate_checkpoint_files()?;
-    let narms = sweep.configs.len();
-    let total = sweep.benchmarks.len() * narms;
-    let cache = opts.cache.as_ref().map(ResultCache::open).transpose()?;
-    let keys = cache.as_ref().map(|_| cell_keys(sweep)).transpose()?;
-
-    let mut trials: Vec<Option<Trial>> = (0..total).map(|_| None).collect();
-    let mut hits = 0usize;
-    let mut misses: Vec<u64> = Vec::new();
-    for i in 0..total {
-        if let (Some(cache), Some(keys)) = (&cache, &keys) {
-            let bench = sweep.benchmarks[i / narms].name;
-            let label = &sweep.configs[i % narms].0;
-            let hit = cache
-                .load(&keys[i])
-                .and_then(|payload| trial_from_payload(bench, label, &payload).ok());
-            if let Some(trial) = hit {
-                trials[i] = Some(trial);
-                hits += 1;
-                continue;
-            }
-        }
-        misses.push(i as u64);
-    }
-    emit_progress(CellProgress { total, done: hits, cached: hits, degraded: 0 });
-
-    let simulated = misses.len();
-    let mut pool_summary = rix_dispatch::PoolSummary::default();
-    if !misses.is_empty() {
-        let plan = plan_json(sweep);
-        let payloads: Vec<Json> = if opts.workers == 0 {
-            // In-process execution still goes through the plan's JSON
-            // round trip, so the single code path is the one the
-            // process boundary exercises.
-            let mut runner = CellRunner::new(
-                plan_from_json(&plan).map_err(|e| format!("internal dispatch plan: {e}"))?,
-            );
-            let mut payloads = Vec::with_capacity(misses.len());
-            for &cell in &misses {
-                let (result, wall) = runner.run(cell)?;
-                payloads.push(payload_json(&result, wall)?);
-                emit_progress(CellProgress {
-                    total,
-                    done: hits + payloads.len(),
-                    cached: hits,
-                    degraded: 0,
-                });
-            }
-            payloads
-        } else {
-            let pool = rix_dispatch::PoolConfig {
-                workers: opts.workers,
-                cell_timeout: opts.cell_timeout,
-                retries: opts.retries,
-                worker_cmd: None,
-            };
-            let (payloads, summary) = rix_dispatch::dispatch_cells(&plan, &misses, &pool)
-                .map_err(|e| describe_pool_error(e, sweep, narms))?;
-            pool_summary = summary;
-            emit_progress(CellProgress { total, done: total, cached: hits, degraded: 0 });
-            payloads
-        };
-        for (&cell, payload) in misses.iter().zip(&payloads) {
-            let i = cell as usize;
-            let (bi, ai) = (i / narms, i % narms);
-            let trial =
-                trial_from_payload(sweep.benchmarks[bi].name, &sweep.configs[ai].0, payload)?;
-            if let (Some(cache), Some(keys)) = (&cache, &keys) {
-                let entry = Json::Obj(vec![("result".into(), payload.req("result")?.clone())]);
-                cache.store(&keys[i], &entry)?;
-            }
-            trials[i] = Some(trial);
-        }
-    }
-
-    let trials = trials
-        .into_iter()
-        .map(|t| t.ok_or_else(|| "internal: unfilled trial slot".to_string()))
-        .collect::<Result<Vec<Trial>, String>>()?;
-    Ok((
-        trials,
-        DispatchReport {
-            cells: total,
-            simulated,
-            cache_hits: hits,
-            workers_spawned: pool_summary.workers_spawned,
-            workers_lost: pool_summary.workers_lost,
-            retries: pool_summary.retries,
-            degraded: pool_summary.degraded_cells,
-            quarantined: pool_summary.quarantined,
-            workers: pool_summary.workers,
-        },
-    ))
-}
-
 /// Under checkpoint warm-up, each snapshot file's content hash goes into
 /// its row's cache keys (file existence was validated by the caller).
 fn checkpoint_hashes(sweep: &Sweep) -> Result<Vec<Option<String>>, String> {
@@ -707,11 +541,141 @@ fn checkpoint_hashes(sweep: &Sweep) -> Result<Vec<Option<String>>, String> {
     }
 }
 
+/// A run's trial cache: the store and every grid cell's key.
+struct CellCache {
+    store: ResultCache,
+    keys: Vec<String>,
+}
+
+// ----- the coordinator --------------------------------------------------
+
+/// Threads for every in-process execution inside a distributed run (the
+/// cache path, serve-api's runs, a served run's degraded tail), whatever
+/// [`Sweep::threads`] says. On a 2-vCPU Xeon, two threads cut the cold
+/// latency of a serve-api fig4 run by about 40%, but raised the
+/// process's peak RSS by about 60% (17.4 to 27.5 MiB, through glibc's
+/// per-thread malloc arenas); honouring `--threads` here needs a memory
+/// plan first.
+const IN_PROCESS_THREADS: usize = 1;
+
+/// Reports each finished miss of [`run_cached`]: `(grid index, trial)`.
+type OnDone<'a> = dyn FnMut(usize, Trial) -> Result<(), String> + 'a;
+
+/// The cache dance over `cells`: fill every slot the cache can, hand
+/// the misses to `run` (which reports each finished one through the
+/// callback it is given), and store each new result — encoded once,
+/// here. Progress goes out once the hits are in, then per finished
+/// miss, counted as `degraded` in a served run's tail. Returns the
+/// number of hits.
+fn run_cached(
+    sweep: &Sweep,
+    cells: &[usize],
+    cache: Option<&CellCache>,
+    slots: &mut [Option<Trial>],
+    progress: &mut CellProgress,
+    degraded: bool,
+    run: impl FnOnce(&[usize], &mut OnDone) -> Result<(), String>,
+) -> Result<usize, String> {
+    let mut misses = Vec::new();
+    for &i in cells {
+        let hit = cache.and_then(|c| {
+            let payload = c.store.load(&c.keys[i])?;
+            trial_from_payload(sweep, i, &payload).ok()
+        });
+        match hit {
+            Some(trial) => slots[i] = Some(trial),
+            None => misses.push(i),
+        }
+    }
+    let hits = cells.len() - misses.len();
+    progress.done += hits;
+    progress.cached += hits;
+    emit_progress(*progress);
+    run(&misses, &mut |i, trial| {
+        if let Some(c) = cache {
+            c.store.store(&c.keys[i], &payload_json(&trial.result, None)?)?;
+        }
+        slots[i] = Some(trial);
+        progress.done += 1;
+        progress.degraded += usize::from(degraded);
+        emit_progress(*progress);
+        Ok(())
+    })?;
+    Ok(hits)
+}
+
+/// Runs `sweep` under `opts`: consult the cache, simulate the misses
+/// (in worker processes, on remote workers, or in this process), store
+/// fresh results back, and return the full trial grid in
+/// [`Sweep::try_run`] order. See the [module docs](self).
+pub(crate) fn run_sweep_distributed(
+    sweep: &Sweep,
+    opts: &DispatchOptions,
+) -> Result<(Vec<Trial>, DispatchReport), String> {
+    if opts.listen.is_some() && opts.workers > 0 {
+        return Err("--listen and --workers are mutually exclusive".to_string());
+    }
+    sweep.validate()?;
+    sweep.validate_checkpoint_files()?;
+    let total = sweep.cells();
+    let cache = match &opts.cache {
+        Some(dir) => Some(CellCache { store: ResultCache::open(dir)?, keys: cell_keys(sweep)? }),
+        None => None,
+    };
+    let mut slots: Vec<Option<Trial>> = (0..total).map(|_| None).collect();
+    let (hits, pool) = match &opts.listen {
+        Some(addr) => run_served(sweep, opts, addr, cache.as_ref(), &mut slots)?,
+        None => run_local(sweep, opts, cache.as_ref(), &mut slots)?,
+    };
+    Ok((crate::filled(slots)?, DispatchReport::new(total, hits, pool)))
+}
+
+/// A local run: the cache dance over the whole grid, with the misses
+/// simulated by spawned worker processes or, without workers, in this
+/// process. Returns the cache hits and the pool's accounting.
+fn run_local(
+    sweep: &Sweep,
+    opts: &DispatchOptions,
+    cache: Option<&CellCache>,
+    slots: &mut [Option<Trial>],
+) -> Result<(usize, PoolSummary), String> {
+    let mut progress = CellProgress { total: slots.len(), ..CellProgress::default() };
+    let mut pool = PoolSummary::default();
+    let all: Vec<usize> = (0..slots.len()).collect();
+    let run = |misses: &[usize], done: &mut OnDone<'_>| {
+        if opts.workers == 0 {
+            // One thread whatever `sweep.threads` says: the peak-RSS
+            // cost of more is given at `IN_PROCESS_THREADS`.
+            return sweep.run_cells(misses, IN_PROCESS_THREADS, done);
+        }
+        if misses.is_empty() {
+            return Ok(());
+        }
+        let cells: Vec<u64> = misses.iter().map(|&i| i as u64).collect();
+        let cfg = rix_dispatch::PoolConfig {
+            workers: opts.workers,
+            cell_timeout: opts.cell_timeout,
+            retries: opts.retries,
+            worker_cmd: None,
+        };
+        let (payloads, summary) = rix_dispatch::dispatch_cells(&plan_json(sweep), &cells, &cfg)
+            .map_err(|e| describe_pool_error(e, sweep))?;
+        pool = summary;
+        for (&i, payload) in misses.iter().zip(&payloads) {
+            done(i, trial_from_payload(sweep, i, payload)?)?;
+        }
+        Ok(())
+    };
+    let hits = run_cached(sweep, &all, cache, slots, &mut progress, false, run)?;
+    Ok((hits, pool))
+}
+
 /// Renders a pool error with the failing cell named in grid terms —
 /// `gcc/integration (seed 7)`, not `cell 5` — plus the cell's fault
 /// history, so a retry-budget exhaustion tells the user exactly which
 /// benchmark/arm to investigate.
-fn describe_pool_error(e: rix_dispatch::PoolError, sweep: &Sweep, narms: usize) -> String {
+fn describe_pool_error(e: rix_dispatch::PoolError, sweep: &Sweep) -> String {
+    let narms = sweep.configs.len();
     e.with_cell_description(|cell| {
         let i = usize::try_from(cell).ok()?;
         let bench = sweep.benchmarks.get(i / narms)?;
@@ -724,20 +688,15 @@ fn describe_pool_error(e: rix_dispatch::PoolError, sweep: &Sweep, narms: usize) 
 /// A served (TCP) run: bind the listener, hand the whole grid to
 /// [`rix_dispatch::serve_cells`] — no cache prefilter; keyed cells let
 /// remote workers run the cache dance against our local cache — and
-/// finish whatever degraded back to us in-process. See the
-/// [module docs](self).
-fn run_sweep_served(
+/// finish whatever degraded back to us in-process. Returns the cache
+/// hits (remote and local) and the network pool's accounting.
+fn run_served(
     sweep: &Sweep,
     opts: &DispatchOptions,
     addr: &str,
-) -> Result<(Vec<Trial>, DispatchReport), String> {
-    sweep.validate()?;
-    sweep.validate_checkpoint_files()?;
-    let narms = sweep.configs.len();
-    let total = sweep.benchmarks.len() * narms;
-    let cache = opts.cache.as_ref().map(ResultCache::open).transpose()?;
-    let keys = cache.as_ref().map(|_| cell_keys(sweep)).transpose()?;
-
+    cache: Option<&CellCache>,
+    slots: &mut [Option<Trial>],
+) -> Result<(usize, PoolSummary), String> {
     let listener = std::net::TcpListener::bind(addr)
         .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
     let local = listener
@@ -753,91 +712,31 @@ fn run_sweep_served(
         worker_wait: opts.worker_wait,
         token: opts.token.clone(),
     };
-    let plan = plan_json(sweep);
+    let total = slots.len();
     let cells: Vec<u64> = (0..total as u64).collect();
-    let outcome =
-        rix_dispatch::serve_cells(listener, &plan, &cells, keys.as_deref(), cache.as_ref(), &cfg)
-            .map_err(|e| describe_pool_error(e, sweep, narms))?;
-    let summary = outcome.summary;
-    let mut hits = usize::try_from(summary.cache_hits).unwrap_or(usize::MAX);
-
-    let mut trials: Vec<Option<Trial>> = (0..total).map(|_| None).collect();
+    let (keys, store) = (cache.map(|c| c.keys.as_slice()), cache.map(|c| &c.store));
+    let outcome = rix_dispatch::serve_cells(listener, &plan_json(sweep), &cells, keys, store, &cfg)
+        .map_err(|e| describe_pool_error(e, sweep))?;
     for (i, payload) in outcome.payloads.iter().enumerate() {
         if let Some(payload) = payload {
-            let (bi, ai) = (i / narms, i % narms);
-            trials[i] = Some(trial_from_payload(
-                sweep.benchmarks[bi].name,
-                &sweep.configs[ai].0,
-                payload,
-            )?);
+            slots[i] = Some(trial_from_payload(sweep, i, payload)?);
         }
     }
-    let mut progress = CellProgress {
-        total,
-        done: total - outcome.unfinished.len(),
-        cached: hits,
-        degraded: 0,
-    };
-    emit_progress(progress);
-
+    let remote_hits = usize::try_from(outcome.summary.cache_hits).unwrap_or(usize::MAX);
+    let done = total - outcome.unfinished.len();
+    let mut progress = CellProgress { total, done, cached: remote_hits, degraded: 0 };
     // Graceful degradation: whatever the network could not finish runs
-    // here, through the same plan round trip as every other path.
+    // here, through the same cache dance and executor (on one thread) as
+    // every other in-process path.
     if !outcome.unfinished.is_empty() {
-        eprintln!(
-            "dispatch: finishing {} degraded cell(s) in-process",
-            outcome.unfinished.len()
-        );
-        let mut runner = CellRunner::new(
-            plan_from_json(&plan).map_err(|e| format!("internal dispatch plan: {e}"))?,
-        );
-        for &i in &outcome.unfinished {
-            let (bi, ai) = (i / narms, i % narms);
-            let (bench, label) = (sweep.benchmarks[bi].name, &sweep.configs[ai].0);
-            let key = keys.as_ref().map(|k| k[i].as_str());
-            if let (Some(cache), Some(key)) = (&cache, key) {
-                let hit = cache
-                    .load(key)
-                    .and_then(|payload| trial_from_payload(bench, label, &payload).ok());
-                if let Some(trial) = hit {
-                    trials[i] = Some(trial);
-                    hits += 1;
-                    progress.done += 1;
-                    progress.cached += 1;
-                    emit_progress(progress);
-                    continue;
-                }
-            }
-            let (result, wall) = runner.run(i as u64)?;
-            let payload = payload_json(&result, wall)?;
-            if let (Some(cache), Some(key)) = (&cache, key) {
-                let entry = Json::Obj(vec![("result".into(), payload.req("result")?.clone())]);
-                cache.store(key, &entry)?;
-            }
-            trials[i] = Some(trial_from_payload(bench, label, &payload)?);
-            progress.done += 1;
-            progress.degraded += 1;
-            emit_progress(progress);
-        }
+        eprintln!("dispatch: finishing {} degraded cell(s) in-process", outcome.unfinished.len());
     }
-
-    let trials = trials
-        .into_iter()
-        .map(|t| t.ok_or_else(|| "internal: unfilled trial slot".to_string()))
-        .collect::<Result<Vec<Trial>, String>>()?;
-    Ok((
-        trials,
-        DispatchReport {
-            cells: total,
-            simulated: total - hits,
-            cache_hits: hits,
-            workers_spawned: summary.workers_spawned,
-            workers_lost: summary.workers_lost,
-            retries: summary.retries,
-            degraded: summary.degraded_cells,
-            quarantined: summary.quarantined,
-            workers: summary.workers,
-        },
-    ))
+    let tail = |misses: &[usize], done: &mut OnDone<'_>| {
+        sweep.run_cells(misses, IN_PROCESS_THREADS, done)
+    };
+    let tail_hits =
+        run_cached(sweep, &outcome.unfinished, cache, slots, &mut progress, true, tail)?;
+    Ok((remote_hits + tail_hits, outcome.summary))
 }
 
 // ----- the worker entry points ------------------------------------------
@@ -854,22 +753,10 @@ pub fn maybe_worker() {
 }
 
 /// The worker serve loop over stdin/stdout (also reachable as the
-/// `exp worker` subcommand). Parses the plan from the `init` message on
-/// the first cell, executes every assigned cell via the shared
-/// [`measure_cell`] path, and reports lossless results.
+/// `exp worker` subcommand): runs each assigned cell on the one cell
+/// engine and reports its lossless result and wall clock.
 pub fn worker_main() -> ! {
-    let mut state: Option<(u64, CellRunner)> = None;
-    rix_dispatch::serve(move |init, cell| {
-        if state.is_none() {
-            let worker = init.req_u64("worker")?;
-            let plan = plan_from_json(init.req("plan")?)?;
-            state = Some((worker, CellRunner::new(plan)));
-        }
-        let (worker, runner) = state.as_mut().ok_or("worker state just initialised")?;
-        inject_fault(*worker);
-        let (result, wall) = runner.run(cell)?;
-        payload_json(&result, wall)
-    })
+    rix_dispatch::serve(cell_executor(true))
 }
 
 /// The remote worker entry point (`exp worker --connect ADDR`):
@@ -880,25 +767,40 @@ pub fn worker_main() -> ! {
 /// quarantined.
 pub fn worker_connect_main(addr: &str, name: Option<&str>) -> ! {
     let name = name.map_or_else(default_worker_name, str::to_string);
-    let backoff = backoff_from_env();
-    let mut state: Option<(u64, CellRunner)> = None;
-    let code = rix_dispatch::connect_worker(addr, &name, &backoff, move |init, cell| {
+    // No wall clock in remote payloads: the coordinator writes cache
+    // entries straight from them.
+    let code = rix_dispatch::connect_worker(addr, &name, &backoff_from_env(), cell_executor(false));
+    std::process::exit(code)
+}
+
+/// The executor behind both worker entry points. The plan in the `init`
+/// message becomes a [`Sweep`] on the first cell; each row is prepared
+/// by [`Sweep::prepare_row`] on its first cell and kept for the row's
+/// other cells. Answers with the cell's payload, including its wall
+/// clock when `wall` is set.
+fn cell_executor(wall: bool) -> impl FnMut(&Json, u64) -> Result<Json, String> {
+    let mut state: Option<(u64, Sweep, Vec<Option<Row>>)> = None;
+    move |init, cell| {
         if state.is_none() {
             let worker = init.req_u64("worker")?;
-            let plan = plan_from_json(init.req("plan")?)?;
-            state = Some((worker, CellRunner::new(plan)));
+            let sweep = plan_from_json(init.req("plan")?)?;
+            let rows = sweep.benchmarks.iter().map(|_| None).collect();
+            state = Some((worker, sweep, rows));
         }
-        let (worker, runner) = state.as_mut().ok_or("worker state just initialised")?;
+        let (worker, sweep, rows) = state.as_mut().ok_or("worker state just initialised")?;
         inject_fault(*worker);
-        let (result, _wall) = runner.run(cell)?;
-        // No wall clock in remote payloads: the coordinator writes
-        // cache entries straight from them, and host timing is not
-        // content — a cell simulated remotely must produce the same
-        // bytes as one simulated anywhere else.
-        let r = Json::parse(&rix_sim::checkpoint::result_to_json(&result))?;
-        Ok(Json::Obj(vec![("result".into(), r)]))
-    });
-    std::process::exit(code)
+        let total = sweep.cells();
+        let i = usize::try_from(cell).ok().filter(|&i| i < total).ok_or_else(|| {
+            format!("cell {cell} is outside the plan's {total}-cell grid")
+        })?;
+        let bi = i / sweep.configs.len();
+        let row = match &mut rows[bi] {
+            Some(row) => row,
+            slot => slot.insert(sweep.prepare_row(bi)?),
+        };
+        let trial = sweep.run_cell(row, i);
+        payload_json(&trial.result, wall.then_some(trial.wall))
+    }
 }
 
 /// The default hello name for a remote worker: `w{pid}`, unique enough
@@ -994,20 +896,64 @@ mod tests {
         }
     }
 
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("rix-dispatch-unit-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
-    fn plan_round_trips_and_runner_matches_sweep() {
-        let sweep = small_sweep();
-        let reference = sweep.try_run().expect("sweep runs");
-        let plan = plan_from_json(&plan_json(&sweep)).expect("round trip");
-        assert_eq!(plan.arms.len(), 2);
-        assert_eq!(plan.benchmarks.len(), 2);
-        let mut runner = CellRunner::new(plan);
-        for (i, t) in reference.iter().enumerate() {
-            let (result, _) = runner.run(i as u64).expect("cell runs");
-            assert_eq!(result, t.result, "cell {i} ({}/{})", t.bench, t.config_label);
+    fn every_executor_matches_across_warmup_modes() {
+        let dir = scratch_dir("modes");
+        let ckpt_dir = dir.join("snapshots");
+        std::fs::create_dir_all(&ckpt_dir).expect("snapshot dir");
+        let ckpt = ckpt_dir.to_str().expect("utf-8 temp dir").to_string();
+        for b in &small_sweep().benchmarks {
+            let program = b.build(7);
+            let mut sim = rix_sim::Simulator::new(&program, SimConfig::default());
+            sim.run_until(&StopWhen::RetiredAtLeast(2_000));
+            sim.checkpoint().save(crate::checkpoint_path(&ckpt, b.name, 7)).expect("save");
         }
-        let err = runner.run(99).unwrap_err();
-        assert!(err.contains("outside"), "{err}");
+        let modes = [
+            WarmupMode::Detailed,
+            WarmupMode::Functional,
+            WarmupMode::Checkpoint { dir: ckpt },
+        ];
+        for (m, mode) in modes.into_iter().enumerate() {
+            let name = mode.name();
+            let sweep = small_sweep().warmup(2_500).warmup_mode(mode);
+            let json = |trials: &[Trial]| trials.iter().map(Trial::to_json).collect::<Vec<_>>();
+            let reference = json(&sweep.clone().threads(1).try_run().expect("1 thread"));
+            assert_eq!(reference.len(), 4);
+            let three = sweep.clone().threads(3).try_run().expect("3 threads");
+            assert_eq!(json(&three), reference, "{name}: try_run at 3 threads");
+
+            let (plain, _) = sweep.run_distributed(&DispatchOptions::default()).expect("plain");
+            assert_eq!(json(&plain), reference, "{name}: run_distributed, no cache");
+            let cache = dir.join(format!("cache-{m}")).to_str().expect("utf-8").to_string();
+            let opts = DispatchOptions { cache: Some(cache), ..DispatchOptions::default() };
+            for (state, hits) in [("cold", 0), ("warm", 4)] {
+                let (trials, report) = sweep.run_distributed(&opts).expect("cached run");
+                assert_eq!(report.cache_hits, hits, "{name}: {state} cache hits");
+                assert_eq!(json(&trials), reference, "{name}: run_distributed, {state} cache");
+            }
+
+            // The worker executor, fed the plan's wire round trip.
+            let init = Json::Obj(vec![
+                ("worker".into(), Json::Num("0".into())),
+                ("plan".into(), Json::parse(&plan_json(&sweep).dump()).expect("plan parses")),
+            ]);
+            let mut execute = cell_executor(true);
+            for (i, want) in reference.iter().enumerate() {
+                let payload = execute(&init, i as u64).expect("cell runs");
+                let trial = trial_from_payload(&sweep, i, &payload).expect("payload decodes");
+                assert_eq!(&trial.to_json(), want, "{name}: worker executor, cell {i}");
+            }
+            let err = execute(&init, 99).unwrap_err();
+            assert!(err.contains("outside the plan's 4-cell grid"), "{err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1030,9 +976,8 @@ mod tests {
     fn payload_round_trip_is_lossless() {
         let sweep = small_sweep();
         let trials = sweep.try_run().expect("sweep runs");
-        let payload = payload_json(&trials[0].result, trials[0].wall).expect("serialises");
-        let back = trial_from_payload(trials[0].bench, &trials[0].config_label, &payload)
-            .expect("parses");
+        let payload = payload_json(&trials[0].result, Some(trials[0].wall)).expect("serialises");
+        let back = trial_from_payload(&sweep, 0, &payload).expect("parses");
         assert_eq!(back.result, trials[0].result);
         assert_eq!(back.to_json(), trials[0].to_json());
     }

@@ -54,7 +54,7 @@ use rix_isa::{ArchState, Program};
 use rix_sim::{Checkpoint, RunResult, SimConfig, Simulator, StopWhen};
 use rix_workloads::Benchmark;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::mpsc;
 
 /// How a [`Sweep`] executes its warm-up phase.
 ///
@@ -389,12 +389,6 @@ impl Harness {
             .collect()
     }
 
-    /// Runs `program` under `cfg` for the configured instruction budget.
-    #[must_use]
-    pub fn run(&self, program: &Program, cfg: SimConfig) -> RunResult {
-        Simulator::new(program, cfg).run(self.instructions)
-    }
-
     /// A [`Sweep`] over the selected benchmarks with this harness's
     /// instruction budget, seed, thread count and warm-up settings; add
     /// configs and run.
@@ -407,6 +401,23 @@ impl Harness {
             .threads(self.threads)
             .warmup(self.warmup)
             .warmup_mode(self.warmup_mode.clone())
+    }
+
+    /// Runs `sweep` on the executor the flags choose: the [`dispatch`]
+    /// layer when `--workers`, `--cache` or `--listen` is given (its
+    /// summary, and under `--verbose` its worker table, go to stderr),
+    /// [`Sweep::try_run`] otherwise. The report is `None` for a plain
+    /// in-process run.
+    pub fn run_sweep(&self, sweep: &Sweep) -> Result<(Vec<Trial>, Option<DispatchReport>), String> {
+        if self.workers == 0 && self.cache.is_none() && self.listen.is_none() {
+            return Ok((sweep.try_run()?, None));
+        }
+        let (trials, report) = sweep.run_distributed(&DispatchOptions::from_harness(self))?;
+        eprintln!("dispatch: {}", report.summary());
+        if self.verbose {
+            eprint!("{}", report.worker_table());
+        }
+        Ok((trials, Some(report)))
     }
 
     /// The shared JSON output behaviour of the figure binaries: writes
@@ -507,11 +518,9 @@ pub fn result_doc(
     }
     format!(
         "{{\n  \"schema\":\"rix-exp-result/1\",\n  \"name\":{},\n  \
-         \"spec_fingerprint\":\"{}\",\n  \"spec_fingerprint_fnv64\":\"{:#018x}\",\n  \
-         \"spec\":{},{sections}\n  \"trials\":{}\n}}",
+         \"spec_fingerprint\":\"{}\",\n  \"spec\":{},{sections}\n  \"trials\":{}\n}}",
         spec.name.as_ref().map_or_else(|| "null".to_string(), |n| Json::Str(n.clone()).dump()),
         spec.fingerprint_hex(),
-        spec.fingerprint(),
         spec.to_json(),
         trials_json(trials),
     )
@@ -530,61 +539,13 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// One grid cell's construction, warm-up and measurement — the code
-/// shared by [`Sweep::try_run`]'s in-process workers and the
-/// multi-process [`dispatch`] workers, so a cell's result is
-/// byte-identical however it is executed.
-///
-/// Exactly one warm-up provenance applies, in precedence order:
-/// a checkpoint fork (`ckpt`), a functional fast-forward fork (`warm`),
-/// a detailed per-cell warm-up (`warmup > 0`), or a cold start.
-pub(crate) fn measure_cell(
-    program: &Program,
-    cfg: SimConfig,
-    ckpt: Option<&Checkpoint>,
-    warm: Option<&ArchState>,
-    warmup: u64,
-    stop: Option<&StopWhen>,
-    instructions: u64,
-) -> RunResult {
-    // The per-cell measurement interval: the stop condition when one is
-    // set, the canonical instruction budget otherwise.
-    let measure = |sim: &mut Simulator| -> RunResult {
-        match stop {
-            Some(stop) => {
-                sim.run_until(stop);
-                sim.result()
-            }
-            None => sim.run_budget(instructions),
-        }
-    };
-    if let Some(ck) = ckpt {
-        // Fork the arm from the saved snapshot (cold microarchitecture
-        // at the checkpoint boundary) and measure fresh from there.
-        let mut sim = Simulator::from_checkpoint(program, cfg, ck);
-        sim.reset_stats();
-        measure(&mut sim)
-    } else if let Some(state) = warm {
-        // Boot the detailed machine at the fast-forwarded architectural
-        // boundary (cold microarchitecture) and measure from there.
-        let mut sim = Simulator::from_arch_state(program, cfg, state);
-        measure(&mut sim)
-    } else if warmup == 0 {
-        if stop.is_none() {
-            // The exact one-shot path, so a warm-up-free sweep is
-            // byte-identical to the historical serial loops.
-            Simulator::new(program, cfg).run(instructions)
-        } else {
-            measure(&mut Simulator::new(program, cfg))
-        }
-    } else {
-        let mut sim = Simulator::new(program, cfg);
-        // Budget safety nets on both phases, so a cell that crawls
-        // without deadlocking cannot hang the sweep.
-        sim.run_until(&StopWhen::budget(warmup));
-        sim.reset_stats();
-        measure(&mut sim)
-    }
+/// One grid row's shared state: the benchmark's program and its warm-up
+/// provenance, prepared once by [`Sweep::prepare_row`] and read by every
+/// cell of the row.
+pub(crate) struct Row {
+    program: Program,
+    ckpt: Option<Checkpoint>,
+    warm: Option<ArchState>,
 }
 
 /// A declarative experiment over the (benchmark × config) grid,
@@ -865,115 +826,176 @@ impl Sweep {
     /// descriptive error instead of panicking.
     pub fn try_run(&self) -> Result<Vec<Trial>, String> {
         self.validate()?;
-        let ncfg = self.configs.len();
-        let total = self.benchmarks.len() * ncfg;
-        // Build each benchmark's program once; the cells of its grid
-        // row share it read-only across workers.
-        let programs: Vec<Program> =
-            self.benchmarks.iter().map(|b| b.build(self.seed)).collect();
-        // Checkpoint warm-up: load one saved snapshot per benchmark row
-        // up front (serial — loads are cheap next to simulation), so a
-        // missing or mismatched file fails the whole sweep with a
-        // nameable error before any cell runs.
-        let ckpts: Vec<Option<Checkpoint>> =
-            if let WarmupMode::Checkpoint { dir } = &self.warmup_mode {
-                self.benchmarks
-                    .iter()
-                    .zip(&programs)
-                    .map(|(b, p)| {
-                        let path = checkpoint_path(dir, b.name, self.seed);
-                        let ck = Checkpoint::load(&path).map_err(|e| {
-                            format!("warm-up checkpoint for `{}`: {e}", b.name)
-                        })?;
-                        if rix_sim::checkpoint::fingerprint(p) != ck.program_hash {
-                            return Err(format!(
-                                "warm-up checkpoint {} belongs to a different program than \
-                                 `{}` at seed {} (wrong benchmark, or saved at another seed)",
-                                path.display(),
-                                b.name,
-                                self.seed
-                            ));
-                        }
-                        Ok(Some(ck))
-                    })
-                    .collect::<Result<_, String>>()?
-            } else {
-                vec![None; programs.len()]
-            };
-        // Functional warm-up: fast-forward each (benchmark, seed) once
-        // through the interpreter; every config arm of the row forks
-        // from the shared snapshot. The fast-forward itself is shared
-        // work and therefore — like program generation — excluded from
-        // the per-cell wall clock.
-        let functional = self.warmup > 0 && self.warmup_mode == WarmupMode::Functional;
-        let warm_states: Vec<Option<ArchState>> = if functional {
-            let stack_top = self.configs[0].1.stack_top;
-            // The per-benchmark fast-forwards are independent, so they
-            // use the sweep's thread budget too (statically partitioned
-            // — interpreter warm-ups are near-uniform in cost): without
-            // this, serial warm-up would bound a wide sweep's speedup.
-            let mut states: Vec<Option<ArchState>> = vec![None; programs.len()];
-            let workers = self.threads.max(1).min(programs.len());
-            let chunk = programs.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (progs, slots) in programs.chunks(chunk).zip(states.chunks_mut(chunk)) {
-                    scope.spawn(move || {
-                        for (p, slot) in progs.iter().zip(slots) {
-                            *slot = Some(Interp::new(p, stack_top).fast_forward(self.warmup));
-                        }
-                    });
+        let cells: Vec<usize> = (0..self.cells()).collect();
+        let mut slots: Vec<Option<Trial>> = cells.iter().map(|_| None).collect();
+        self.run_cells(&cells, self.threads, |i, trial| {
+            slots[i] = Some(trial);
+            Ok(())
+        })?;
+        filled(slots)
+    }
+
+    /// Grid cells: benchmarks × configurations.
+    pub(crate) fn cells(&self) -> usize {
+        self.benchmarks.len() * self.configs.len()
+    }
+
+    /// Prepares grid row `bi`, the work its cells share: builds the
+    /// benchmark's program, then either loads its
+    /// [`WarmupMode::Checkpoint`] snapshot and checks the program hash,
+    /// or runs the one [`WarmupMode::Functional`] fast-forward that every
+    /// arm of the row forks from. This is the only code that prepares a
+    /// row, in process and in dispatch workers alike, and it stays
+    /// outside every cell's wall clock.
+    pub(crate) fn prepare_row(&self, bi: usize) -> Result<Row, String> {
+        let bench = self.benchmarks[bi];
+        let program = bench.build(self.seed);
+        let (mut ckpt, mut warm) = (None, None);
+        match &self.warmup_mode {
+            WarmupMode::Checkpoint { dir } => {
+                let path = checkpoint_path(dir, bench.name, self.seed);
+                let ck = Checkpoint::load(&path)
+                    .map_err(|e| format!("warm-up checkpoint for `{}`: {e}", bench.name))?;
+                if rix_sim::checkpoint::fingerprint(&program) != ck.program_hash {
+                    return Err(format!(
+                        "warm-up checkpoint {} belongs to a different program than `{}` at \
+                         seed {} (wrong benchmark, or saved at another seed)",
+                        path.display(),
+                        bench.name,
+                        self.seed
+                    ));
                 }
-            });
-            states
-        } else {
-            vec![None; programs.len()]
-        };
-        let run_cell = |i: usize| -> Trial {
-            let bench = self.benchmarks[i / ncfg];
-            let (label, cfg) = &self.configs[i % ncfg];
-            let program = &programs[i / ncfg];
-            let start = std::time::Instant::now();
-            let result = measure_cell(
-                program,
-                *cfg,
-                ckpts[i / ncfg].as_ref(),
-                warm_states[i / ncfg].as_ref(),
-                self.warmup,
-                self.stop.as_ref(),
-                self.instructions,
-            );
-            let wall = start.elapsed();
-            Trial { bench: bench.name, config_label: label.clone(), result, wall }
-        };
-        let threads = self.threads.max(1).min(total);
-        if threads == 1 {
-            return Ok((0..total).map(run_cell).collect());
+                ckpt = Some(ck);
+            }
+            WarmupMode::Functional if self.warmup > 0 => {
+                // `validate` makes every arm agree on `stack_top`.
+                let stack_top = self.configs[0].1.stack_top;
+                warm = Some(Interp::new(&program, stack_top).fast_forward(self.warmup));
+            }
+            _ => {}
         }
-        // Shared work queue: an atomic cursor over the grid; each
-        // worker claims the next cell and writes its own result slot.
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Trial>>> = (0..total).map(|_| Mutex::new(None)).collect();
+        Ok(Row { program, ckpt, warm })
+    }
+
+    /// Runs grid cell `i` (bench-major) from its prepared `row`. Exactly
+    /// one warm-up provenance applies, in precedence order: a checkpoint
+    /// fork, a functional fast-forward fork, a detailed per-cell warm-up
+    /// (`warmup > 0`), or a cold start.
+    pub(crate) fn run_cell(&self, row: &Row, i: usize) -> Trial {
+        let ncfg = self.configs.len();
+        let (label, cfg) = &self.configs[i % ncfg];
+        let (program, cfg) = (&row.program, *cfg);
+        // The measurement interval: the stop condition when one is set,
+        // the instruction budget otherwise.
+        let measure = |sim: &mut Simulator| -> RunResult {
+            match &self.stop {
+                Some(stop) => {
+                    sim.run_until(stop);
+                    sim.result()
+                }
+                None => sim.run_budget(self.instructions),
+            }
+        };
+        let start = std::time::Instant::now();
+        let result = if let Some(ck) = &row.ckpt {
+            // Fork the arm from the saved snapshot (cold microarchitecture
+            // at the checkpoint boundary) and measure fresh from there.
+            let mut sim = Simulator::from_checkpoint(program, cfg, ck);
+            sim.reset_stats();
+            measure(&mut sim)
+        } else if let Some(state) = &row.warm {
+            // Boot the detailed machine at the fast-forwarded architectural
+            // boundary (cold microarchitecture) and measure from there.
+            measure(&mut Simulator::from_arch_state(program, cfg, state))
+        } else {
+            let mut sim = Simulator::new(program, cfg);
+            if self.warmup > 0 {
+                // Budget safety nets on both phases, so a cell that
+                // crawls without deadlocking cannot hang the sweep.
+                sim.run_until(&StopWhen::budget(self.warmup));
+                sim.reset_stats();
+            }
+            measure(&mut sim)
+        };
+        let bench = self.benchmarks[i / ncfg].name;
+        Trial { bench, config_label: label.clone(), result, wall: start.elapsed() }
+    }
+
+    /// The one in-process executor: runs `cells` (bench-major grid
+    /// indices) on up to `threads` threads, workers claiming the next
+    /// cell from a shared cursor, and hands each finished trial to
+    /// `on_done` **on the calling thread**, in completion order — so a
+    /// thread-local observer such as the dispatch progress hook sees
+    /// every cell. The rows the cells touch are prepared first, spread
+    /// over the same thread budget (with one thread, nothing is spawned).
+    /// An error from `on_done` stops the run once the cells in flight
+    /// finish.
+    pub(crate) fn run_cells(
+        &self,
+        cells: &[usize],
+        threads: usize,
+        mut on_done: impl FnMut(usize, Trial) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if cells.is_empty() {
+            return Ok(());
+        }
+        let ncfg = self.configs.len();
+        let mut wanted: Vec<usize> = cells.iter().map(|&i| i / ncfg).collect();
+        wanted.sort_unstable();
+        wanted.dedup();
+        // Rows are independent and near-uniform in cost (program build
+        // plus any fast-forward), so a static partition suffices; the
+        // calling thread takes the first share.
+        let chunk = wanted.len().div_ceil(threads.clamp(1, wanted.len()));
+        let mut prepared: Vec<Option<Result<Row, String>>> = wanted.iter().map(|_| None).collect();
+        let prepare = |bis: &[usize], slots: &mut [Option<Result<Row, String>>]| {
+            for (&bi, slot) in bis.iter().zip(slots) {
+                *slot = Some(self.prepare_row(bi));
+            }
+        };
         std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    let trial = run_cell(i);
-                    *slots[i].lock().expect("result slot never poisoned") = Some(trial);
-                });
+            let mut shares = wanted.chunks(chunk).zip(prepared.chunks_mut(chunk));
+            let first = shares.next();
+            for (bis, slots) in shares {
+                scope.spawn(move || prepare(bis, slots));
+            }
+            if let Some((bis, slots)) = first {
+                prepare(bis, slots);
             }
         });
-        Ok(slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot never poisoned")
-                    .expect("every cell was claimed and completed")
-            })
-            .collect())
+        let mut rows: Vec<Option<Row>> = self.benchmarks.iter().map(|_| None).collect();
+        for (bi, row) in wanted.into_iter().zip(prepared) {
+            rows[bi] = Some(row.expect("every share is prepared")?);
+        }
+        let row = |i: usize| rows[i / ncfg].as_ref().expect("every touched row is prepared");
+
+        let threads = threads.clamp(1, cells.len());
+        if threads == 1 {
+            return cells.iter().try_for_each(|&i| on_done(i, self.run_cell(row(i), i)));
+        }
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel();
+            for _ in 0..threads {
+                let (tx, next, row) = (tx.clone(), &next, &row);
+                scope.spawn(move || {
+                    while let Some(&i) = cells.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        // A closed channel means `on_done` failed: stop.
+                        if tx.send((i, self.run_cell(row(i), i))).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            rx.into_iter().try_for_each(|(i, trial)| on_done(i, trial))
+        })
     }
+}
+
+/// The trials of a run whose every slot was filled.
+pub(crate) fn filled(slots: Vec<Option<Trial>>) -> Result<Vec<Trial>, String> {
+    slots.into_iter().map(|t| t.ok_or("internal: unfilled trial slot".to_string())).collect()
 }
 
 /// The four Figure 4 extension arms (name, config).

@@ -188,6 +188,11 @@ mod tests {
         let last = snapshots.last().unwrap();
         assert_eq!((last.total, last.done), (4, 4));
         assert_eq!(last.cached, 0, "cold cache");
+        // One snapshot once the (zero) hits are in, then one per
+        // simulated cell: the executor reports every cell, not a final
+        // total.
+        let done: Vec<usize> = snapshots.iter().map(|p| p.done).collect();
+        assert_eq!(done, [0, 1, 2, 3, 4], "per-cell progress on a cold cache");
 
         // A second execution is all cache hits — and the doc is still
         // byte-identical (the cache never leaks into stored bytes).

@@ -42,7 +42,7 @@
 //!
 //! Reproducibility: [`ExperimentSpec::to_json`] is a canonical
 //! re-serialisation (sugar desugared, defaults filled, benchmark list
-//! resolved) and [`ExperimentSpec::fingerprint`] hashes it; `exp`'s
+//! resolved) and [`ExperimentSpec::fingerprint128`] hashes it; `exp`'s
 //! JSON results embed both, so a result file names exactly the
 //! experiment that produced it. Execution details (thread count, output
 //! paths) are deliberately **not** part of the spec or the fingerprint.
@@ -230,7 +230,7 @@ impl ExperimentSpec {
     /// Canonical re-serialisation: sugar desugared, defaults filled,
     /// benchmarks resolved to an explicit list. Two specs that mean the
     /// same experiment serialise identically; this is what
-    /// [`ExperimentSpec::fingerprint`] hashes.
+    /// [`ExperimentSpec::fingerprint128`] hashes.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut fields: Vec<(String, Json)> =
@@ -258,37 +258,17 @@ impl ExperimentSpec {
         Json::Obj(fields).dump()
     }
 
-    /// The spec's primary fingerprint: 128-bit FNV-1a (with a trailing
-    /// length fold — see [`rix_dispatch::hash`]) over the canonical
+    /// The spec's fingerprint: 128-bit FNV-1a (with a trailing length
+    /// fold — see [`rix_dispatch::hash`]) over the canonical
     /// serialisation [`ExperimentSpec::to_json`]. Embedded in result
     /// records so a result names the exact experiment (benchmarks,
     /// arms, budgets, seed; not execution details like thread or worker
-    /// counts) that produced it.
-    ///
-    /// 64 bits were enough to *distinguish* experiments by eye but not
-    /// to key long-lived artifact stores: with the trial cache keeping
-    /// content-addressed results around indefinitely, collision
-    /// probability has to stay negligible across every spec anyone ever
-    /// writes, hence 128 bits. The legacy 64-bit value remains readable
-    /// as [`ExperimentSpec::fingerprint`] (and is still emitted in
-    /// result documents as `spec_fingerprint_fnv64`) so result files
-    /// written by older builds can be matched during migration.
+    /// counts) that produced it. 128 bits because the trial cache and
+    /// the experiment service key long-lived artifacts by it, so
+    /// collisions must stay negligible across every spec anyone writes.
     #[must_use]
     pub fn fingerprint128(&self) -> u128 {
         rix_dispatch::hash::fnv128(self.to_json().as_bytes())
-    }
-
-    /// The **legacy** 64-bit FNV-1a fingerprint of the canonical
-    /// serialisation — kept (same algorithm, same values as historical
-    /// result files) so old `spec_fingerprint` strings stay matchable.
-    /// New consumers should use [`ExperimentSpec::fingerprint128`].
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in self.to_json().bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
     }
 
     /// [`ExperimentSpec::fingerprint128`] as the `0x…` string used in
@@ -359,18 +339,7 @@ impl ExperimentSpec {
         let run = || -> Result<(Self, Vec<Trial>), String> {
             let mut spec = Self::from_json(text)?;
             spec.apply_harness(h);
-            let sweep = spec.sweep(h);
-            let trials = if h.workers > 0 || h.cache.is_some() || h.listen.is_some() {
-                let (trials, report) =
-                    sweep.run_distributed(&crate::DispatchOptions::from_harness(h))?;
-                eprintln!("dispatch: {}", report.summary());
-                if h.verbose {
-                    eprint!("{}", report.worker_table());
-                }
-                trials
-            } else {
-                sweep.try_run()?
-            };
+            let (trials, _) = h.run_sweep(&spec.sweep(h))?;
             Ok((spec, trials))
         };
         match run() {
@@ -791,14 +760,14 @@ mod tests {
         // Reparsing the canonical form is a fixed point.
         let again = ExperimentSpec::from_json(&canon).unwrap();
         assert_eq!(again.to_json(), canon);
-        assert_eq!(again.fingerprint(), spec.fingerprint());
+        assert_eq!(again.fingerprint128(), spec.fingerprint128());
         // Whitespace does not change the experiment's identity...
         let squashed = MINI.replace("\n        ", "");
         let same = ExperimentSpec::from_json(&squashed).unwrap();
-        assert_eq!(same.fingerprint(), spec.fingerprint());
+        assert_eq!(same.fingerprint128(), spec.fingerprint128());
         // ...but any parameter does.
         let other = ExperimentSpec::from_json(&MINI.replace("2000", "2001")).unwrap();
-        assert_ne!(other.fingerprint(), spec.fingerprint());
+        assert_ne!(other.fingerprint128(), spec.fingerprint128());
         assert!(spec.fingerprint_hex().starts_with("0x"));
     }
 
@@ -891,7 +860,7 @@ mod tests {
         assert_eq!(arms[1].1.integration.it_entries, 64);
 
         let again = ExperimentSpec::from_json(&spec.to_json()).unwrap();
-        assert_eq!(again.fingerprint(), spec.fingerprint());
+        assert_eq!(again.fingerprint128(), spec.fingerprint128());
         let again_arms = again.arms().unwrap();
         assert_eq!(again_arms[1].0, "it_entries=64");
         assert_eq!(again_arms[1].1.integration.it_entries, 64);
@@ -916,7 +885,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a.arms().unwrap(), b.arms().unwrap(), "same experiment");
-        assert_eq!(a.fingerprint(), b.fingerprint(), "same identity");
+        assert_eq!(a.fingerprint128(), b.fingerprint128(), "same identity");
     }
 
     #[test]

@@ -314,6 +314,38 @@ fn deeply_nested_body_is_refused_and_server_survives() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A header line of 1 MiB with no newline is refused with a structured
+/// 400 after at most the line cap is read, and the server goes on
+/// serving.
+#[test]
+fn oversized_header_line_is_refused_and_server_survives() {
+    use std::io::{Read, Write};
+    let dir = scratch("long-header");
+    let spec = write_spec(&dir, SPEC);
+    let api = spawn_api(&dir.join("data"), &["--executors", "0"], &[]);
+
+    let mut stream = std::net::TcpStream::connect(&api.addr).expect("connect");
+    let mut raw = b"POST /v1/runs HTTP/1.1\r\nX-Padding: ".to_vec();
+    raw.extend(std::iter::repeat_n(b'a', 1 << 20));
+    let mut writer = stream.try_clone().expect("clone");
+    // The server may stop reading early; a failed write is fine.
+    let sender = std::thread::spawn(move || drop(writer.write_all(&raw)));
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("the server answers");
+    sender.join().expect("sender");
+    assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
+    let body = reply.split_once("\r\n\r\n").expect("reply has a body").1;
+    let body = Json::parse(body).expect("error body parses");
+    assert_eq!(field(&body, "schema").as_str(), Some("rix-serve/1"));
+    let error = field(&body, "error").as_str().expect("error is a string");
+    assert!(error.contains("header line exceeds the 8192-byte cap"), "{error}");
+
+    let reply = exp_ok(&["submit", &spec, "--connect", &api.addr, "--json"], &[]);
+    let reply = Json::parse(&reply).expect("submit reply parses");
+    assert_eq!(field(&reply, "joined").as_bool(), Some(false));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Structured client-side failures: unknown run ids and unfinished
 /// results exit 1 with the server's error message, not a usage dump.
 #[test]

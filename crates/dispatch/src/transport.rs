@@ -136,11 +136,19 @@ impl<R: Read> LineSource for BlockingSource<R> {
     }
 }
 
+/// The longest frame a [`TcpSource`] accepts, newline excluded. The
+/// largest committed plan is about 16 KB and a result payload about
+/// 1 KB, so this leaves three orders of magnitude of headroom while
+/// bounding what a peer can make us buffer (the coordinator reads a
+/// `hello` before checking its token).
+pub const MAX_FRAME: usize = 16 * 1024 * 1024;
+
 /// Polling [`LineSource`] over a TCP stream: a read timeout turns a
 /// silent link into periodic [`NextLine::Idle`] ticks so the caller can
 /// enforce a liveness deadline. A frame split across polls accumulates
 /// in a persistent partial buffer — bytes are never dropped on a
-/// timeout.
+/// timeout. A frame longer than [`MAX_FRAME`] shuts the connection down
+/// and reads as an [`io::ErrorKind::InvalidData`] error.
 pub struct TcpSource {
     reader: BufReader<TcpStream>,
     partial: String,
@@ -156,12 +164,21 @@ impl TcpSource {
 
 impl LineSource for TcpSource {
     fn next_line(&mut self) -> io::Result<NextLine> {
-        match self.reader.read_line(&mut self.partial) {
+        // Read at most up to one byte past the cap (the newline).
+        let room = (MAX_FRAME + 1).saturating_sub(self.partial.len()) as u64;
+        match (&mut self.reader).take(room).read_line(&mut self.partial) {
             Ok(0) => Ok(NextLine::Eof),
             Ok(_) => {
                 if self.partial.ends_with('\n') {
                     let line = std::mem::take(&mut self.partial);
                     Ok(NextLine::Line(line.trim_end().to_string()))
+                } else if self.partial.len() > MAX_FRAME {
+                    let _ = self.reader.get_ref().shutdown(Shutdown::Both);
+                    self.partial = String::new();
+                    Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("frame exceeds the {MAX_FRAME}-byte cap"),
+                    ))
                 } else {
                     // read_line returned without a newline: EOF mid-frame.
                     Ok(NextLine::Eof)
@@ -409,6 +426,39 @@ mod tests {
         sink.send("{\"b\":2}").expect("write");
         sink.close();
         assert!(sink.send("{}").is_err(), "closed sink rejects writes");
+    }
+
+    #[test]
+    fn tcp_source_caps_frames_and_closes() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let peer = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.write_all(b"{\"ok\":1}\n").expect("first frame");
+            // One byte over the cap and no newline: writes fail once the
+            // reader shuts the connection, which is the point.
+            let chunk = vec![b'x'; 1 << 20];
+            let mut sent = 0;
+            while sent <= MAX_FRAME && stream.write_all(&chunk).is_ok() {
+                sent += chunk.len();
+            }
+        });
+        let (stream, _) = listener.accept().expect("accept");
+        let mut src = TcpSource::new(stream, Duration::from_millis(20)).expect("source");
+        let mut frames = Vec::new();
+        let err = loop {
+            match src.next_line() {
+                Ok(NextLine::Line(l)) => frames.push(l),
+                Ok(NextLine::Idle) => {}
+                Ok(NextLine::Eof) => panic!("an oversized frame is not a clean EOF"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(frames, ["{\"ok\":1}"], "frames under the cap pass");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("cap"), "{err}");
+        assert_eq!(src.partial.capacity(), 0, "the oversized frame is released");
+        peer.join().expect("peer");
     }
 
     #[test]

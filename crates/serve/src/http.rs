@@ -4,12 +4,16 @@
 //! Hand-rolled over `std::net` so the service stays registry-free.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::net::{Shutdown, TcpStream};
+use std::time::{Duration, Instant};
 
 /// Bodies above this size are rejected before buffering (an experiment
 /// spec is a few KiB; anything near this bound is not a spec).
 pub const MAX_BODY: usize = 4 * 1024 * 1024;
+/// The longest request line or header line accepted, newline included.
+/// Longer lines are rejected after reading at most this many bytes, so a
+/// peer that never sends a newline cannot grow a connection's buffer.
+pub const MAX_LINE: usize = 8 * 1024;
 const MAX_HEADERS: usize = 64;
 
 /// One parsed request. Header names are lowercased at parse time, so
@@ -40,7 +44,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| format!("reading request line: {e}"))?;
+    read_line(&mut reader, &mut line, "request line")?;
     let mut parts = line.split_whitespace();
     let (method, path) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(p), Some(v)) if v.starts_with("HTTP/1.") => {
@@ -51,7 +55,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let mut req = Request { method, path, ..Request::default() };
     loop {
         line.clear();
-        reader.read_line(&mut line).map_err(|e| format!("reading headers: {e}"))?;
+        read_line(&mut reader, &mut line, "header line")?;
         let trimmed = line.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {
             break;
@@ -74,6 +78,17 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
         req.body = String::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     }
     Ok(req)
+}
+
+/// Appends one line (at most [`MAX_LINE`] bytes) from `reader` to
+/// `line`; a longer line is an error naming `what`.
+fn read_line(reader: &mut impl BufRead, line: &mut String, what: &str) -> Result<(), String> {
+    let cap = MAX_LINE as u64;
+    reader.take(cap).read_line(line).map_err(|e| format!("reading {what}: {e}"))?;
+    if line.len() >= MAX_LINE && !line.ends_with('\n') {
+        return Err(format!("{what} exceeds the {MAX_LINE}-byte cap"));
+    }
+    Ok(())
 }
 
 fn status_text(status: u16) -> &'static str {
@@ -104,4 +119,70 @@ pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> Result
         .and_then(|()| stream.write_all(body.as_bytes()))
         .and_then(|()| stream.flush())
         .map_err(|e| format!("writing response: {e}"))
+}
+
+/// Drains what the peer is still sending after a rejected request, with
+/// our write half shut down: at most [`MAX_BODY`] bytes for at most two
+/// seconds. Closing a socket that still holds unread input resets the
+/// connection, which can destroy the error reply before the peer reads
+/// it.
+pub(crate) fn drain(stream: &mut TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let mut buf = [0u8; 8192];
+    let mut left = MAX_BODY;
+    while left > 0 && Instant::now() < deadline {
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => left = left.saturating_sub(n),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// Sends `raw` to a fresh loopback connection and parses it with
+    /// [`read_request`].
+    fn parse(raw: Vec<u8>) -> Result<Request, String> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            // The server may stop reading early; a failed write is fine.
+            let _ = stream.write_all(&raw);
+            stream
+        });
+        let (mut stream, _) = listener.accept().expect("accept");
+        let req = read_request(&mut stream);
+        // Closing unblocks a client still writing what was never read.
+        drop(stream);
+        drop(client.join().expect("client"));
+        req
+    }
+
+    #[test]
+    fn lines_are_capped() {
+        let ok = parse(b"GET /v1/runs HTTP/1.1\r\nHost: x\r\n\r\n".to_vec()).expect("parses");
+        assert_eq!((ok.method.as_str(), ok.path.as_str()), ("GET", "/v1/runs"));
+        assert_eq!(ok.header("host"), Some("x"));
+
+        // A header line of exactly the cap (newline included) still parses.
+        let value = "v".repeat(MAX_LINE - "X-Long: \r\n".len());
+        let raw = format!("GET / HTTP/1.1\r\nX-Long: {value}\r\n\r\n");
+        let req = parse(raw.into_bytes()).expect("a line at the cap parses");
+        assert_eq!(req.header("x-long").map(str::len), Some(value.len()));
+
+        // One byte over, with or without a newline, is refused.
+        let raw = format!("GET / HTTP/1.1\r\nX-Long: {value}v\r\n\r\n");
+        let err = parse(raw.into_bytes()).unwrap_err();
+        assert!(err.contains("header line exceeds the 8192-byte cap"), "{err}");
+        let mut raw = b"GET /".to_vec();
+        raw.extend(std::iter::repeat_n(b'a', 1 << 20));
+        let err = parse(raw).unwrap_err();
+        assert!(err.contains("request line exceeds the 8192-byte cap"), "{err}");
+    }
 }

@@ -20,7 +20,7 @@
 //! in id order; `failed` runs keep their error. A completed result is
 //! re-served byte-for-byte because the store never re-encodes it.
 
-use crate::http::{read_request, write_response, Request};
+use crate::http::{drain, read_request, write_response, Request};
 use crate::store::{progress_json, RunRecord, RunState, RunStore};
 use crate::{Engine, Progress, SCHEMA};
 use rix_isa::json::Json;
@@ -274,6 +274,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream) {
         Ok(req) => req,
         Err(e) => {
             let _ = write_response(&mut stream, 400, &error_body(&e));
+            drain(&mut stream);
             return;
         }
     };

@@ -40,7 +40,7 @@ fn every_committed_spec_parses_and_validates() {
         // Canonicalisation is a fixed point for every committed spec.
         let again = ExperimentSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(again.to_json(), spec.to_json(), "{path:?}");
-        assert_eq!(again.fingerprint(), spec.fingerprint(), "{path:?}");
+        assert_eq!(again.fingerprint128(), spec.fingerprint128(), "{path:?}");
     }
     assert_eq!(seen, 5, "the five figure specs are committed");
 }
