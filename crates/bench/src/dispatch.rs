@@ -1,5 +1,5 @@
 //! Distributed sweep execution and the trial cache — the bench-side
-//! glue over the generic [`rix_dispatch`] pool.
+//! glue over the generic [`rix_dispatch`] coordinator.
 //!
 //! ## One cell engine
 //!
@@ -27,7 +27,9 @@
 //!
 //! ## The cache (`--cache DIR`)
 //!
-//! With a cache directory set, every cell is first looked up by the
+//! The coordinator's process owns the cache on every path — in-process,
+//! spawned workers and served runs alike. With a cache directory set,
+//! every cell is first looked up by the
 //! 128-bit content hash of its `rix-cell/1` descriptor: benchmark,
 //! seed, arm label, the arm's **full canonical config JSON**, budgets,
 //! warm-up policy and stop condition — plus the checkpoint *file
@@ -36,8 +38,13 @@
 //! own content (rather than the whole spec's fingerprint) is what makes
 //! invalidation exact: editing one arm re-simulates only that arm's
 //! cells, and unrelated specs sharing identical cells share entries.
-//! Entry writes are atomic (temp file + rename) and corrupt entries
-//! read as misses — see [`rix_dispatch::cache`].
+//! Only the misses are dispatched, and each fresh result is stored the
+//! moment it arrives (decoded first, so a malformed payload is never
+//! written): a run that fails late keeps every cell it finished, and
+//! workers never name a key — only results for the cells they were
+//! assigned are written, under keys computed here. Entry writes are
+//! atomic (temp file + rename) and corrupt entries read as misses — see
+//! [`rix_dispatch::cache`].
 //!
 //! Wall-clock time is not cached (a reused trial reports zero), which
 //! is why [`crate::Trial::to_json`] — and therefore every result
@@ -46,17 +53,19 @@
 //! ## Multi-host (`--listen` / `exp serve` + `exp worker --connect`)
 //!
 //! With `--listen ADDR` the coordinator spawns nothing: it binds a TCP
-//! listener and serves the *whole* grid to remote workers over
-//! `rix-dispatch/2` ([`rix_dispatch::net`]), heartbeats and all. Served
-//! runs do not prefilter against the cache — every cell ships with its
-//! key and the workers run the cache dance over the wire, so diskless
-//! remote hosts still dedup against the coordinator's local cache.
-//! Cells the network cannot finish (retry budgets spent, or all remote
-//! capacity lost past the grace period) **degrade** to in-process
-//! execution here, so a distributed sweep completes with a slower tail
-//! rather than failing; the degradation is visible in the
-//! [`DispatchReport`]. Merged trials stay byte-identical to a
-//! single-process run under any fault history.
+//! listener (announcing `dispatch: listening on …` before it consults
+//! the cache) and serves the cache misses to remote workers over
+//! `rix-dispatch/2` ([`rix_dispatch::net`]), heartbeats and all, through
+//! the same coordinator as `--workers`. Diskless remote hosts still
+//! dedup, since the cache never leaves this process; a fully warm served
+//! run needs no worker at all. Cells the network cannot finish (retry
+//! budgets spent, or all remote capacity lost past the grace period)
+//! **degrade** to in-process execution here, so a distributed sweep
+//! completes with a slower tail rather than failing; the degradation is
+//! visible in the [`DispatchReport`]. A spawned pool has nowhere to
+//! degrade to: a cell it cannot finish fails the run once the rest of
+//! the grid has drained (and been cached). Merged trials stay
+//! byte-identical to a single-process run under any fault history.
 //!
 //! ## Fault injection (tests)
 //!
@@ -74,7 +83,7 @@
 //! environment; remote workers have their own).
 
 use crate::{Harness, Row, Sweep, Trial, WarmupMode};
-use rix_dispatch::{PoolSummary, ResultCache, WorkerStat, WORKER_ARG};
+use rix_dispatch::{PoolSummary, ResultCache, WorkerStat, Workers, WORKER_ARG};
 use rix_isa::json::Json;
 use rix_sim::{RunResult, SimConfig, StopWhen};
 use rix_workloads::Benchmark;
@@ -328,10 +337,11 @@ thread_local! {
 }
 
 /// Installs `hook` as the calling thread's cell-progress observer for
-/// the duration of `f`. Progress is per-cell on in-process execution
-/// and coarser on pooled/served runs (the external pool reports only at
-/// completion). Thread-local, so concurrent runs on different threads
-/// (the service's executor pool) never see each other's progress.
+/// the duration of `f`. Progress is reported once the cache hits are
+/// in, then per finished cell on every path (in-process, spawned
+/// workers, remote workers, a degraded tail). Thread-local, so
+/// concurrent runs on different threads (the service's executor pool)
+/// never see each other's progress.
 pub fn with_cell_progress<R>(hook: Box<dyn FnMut(CellProgress)>, f: impl FnOnce() -> R) -> R {
     struct Uninstall;
     impl Drop for Uninstall {
@@ -541,12 +551,6 @@ fn checkpoint_hashes(sweep: &Sweep) -> Result<Vec<Option<String>>, String> {
     }
 }
 
-/// A run's trial cache: the store and every grid cell's key.
-struct CellCache {
-    store: ResultCache,
-    keys: Vec<String>,
-}
-
 // ----- the coordinator --------------------------------------------------
 
 /// Threads for every in-process execution inside a distributed run (the
@@ -558,56 +562,10 @@ struct CellCache {
 /// plan first.
 const IN_PROCESS_THREADS: usize = 1;
 
-/// Reports each finished miss of [`run_cached`]: `(grid index, trial)`.
-type OnDone<'a> = dyn FnMut(usize, Trial) -> Result<(), String> + 'a;
-
-/// The cache dance over `cells`: fill every slot the cache can, hand
-/// the misses to `run` (which reports each finished one through the
-/// callback it is given), and store each new result — encoded once,
-/// here. Progress goes out once the hits are in, then per finished
-/// miss, counted as `degraded` in a served run's tail. Returns the
-/// number of hits.
-fn run_cached(
-    sweep: &Sweep,
-    cells: &[usize],
-    cache: Option<&CellCache>,
-    slots: &mut [Option<Trial>],
-    progress: &mut CellProgress,
-    degraded: bool,
-    run: impl FnOnce(&[usize], &mut OnDone) -> Result<(), String>,
-) -> Result<usize, String> {
-    let mut misses = Vec::new();
-    for &i in cells {
-        let hit = cache.and_then(|c| {
-            let payload = c.store.load(&c.keys[i])?;
-            trial_from_payload(sweep, i, &payload).ok()
-        });
-        match hit {
-            Some(trial) => slots[i] = Some(trial),
-            None => misses.push(i),
-        }
-    }
-    let hits = cells.len() - misses.len();
-    progress.done += hits;
-    progress.cached += hits;
-    emit_progress(*progress);
-    run(&misses, &mut |i, trial| {
-        if let Some(c) = cache {
-            c.store.store(&c.keys[i], &payload_json(&trial.result, None)?)?;
-        }
-        slots[i] = Some(trial);
-        progress.done += 1;
-        progress.degraded += usize::from(degraded);
-        emit_progress(*progress);
-        Ok(())
-    })?;
-    Ok(hits)
-}
-
 /// Runs `sweep` under `opts`: consult the cache, simulate the misses
-/// (in worker processes, on remote workers, or in this process), store
-/// fresh results back, and return the full trial grid in
-/// [`Sweep::try_run`] order. See the [module docs](self).
+/// (in this process, in spawned worker processes, or on remote workers),
+/// store each fresh result as it arrives, and return the full trial
+/// grid in [`Sweep::try_run`] order. See the [module docs](self).
 pub(crate) fn run_sweep_distributed(
     sweep: &Sweep,
     opts: &DispatchOptions,
@@ -617,57 +575,109 @@ pub(crate) fn run_sweep_distributed(
     }
     sweep.validate()?;
     sweep.validate_checkpoint_files()?;
+    // A served run binds and announces its address before anything
+    // else, so workers (and scripts waiting for the line) can dial in
+    // while the cache is consulted.
+    let workers = match (&opts.listen, opts.workers) {
+        (Some(addr), _) => {
+            let listener = std::net::TcpListener::bind(addr)
+                .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
+            let local = listener
+                .local_addr()
+                .map_err(|e| format!("cannot resolve listen address: {e}"))?;
+            eprintln!("dispatch: listening on {local}");
+            Some(Workers::Listen(listener))
+        }
+        (None, 0) => None,
+        (None, count) => {
+            let program = std::env::current_exe()
+                .map_err(|e| format!("cannot locate this executable to self-exec workers: {e}"))?;
+            Some(Workers::Spawn { count, program, args: vec![WORKER_ARG.to_string()] })
+        }
+    };
     let total = sweep.cells();
     let cache = match &opts.cache {
-        Some(dir) => Some(CellCache { store: ResultCache::open(dir)?, keys: cell_keys(sweep)? }),
+        Some(dir) => Some((ResultCache::open(dir)?, cell_keys(sweep)?)),
         None => None,
     };
     let mut slots: Vec<Option<Trial>> = (0..total).map(|_| None).collect();
-    let (hits, pool) = match &opts.listen {
-        Some(addr) => run_served(sweep, opts, addr, cache.as_ref(), &mut slots)?,
-        None => run_local(sweep, opts, cache.as_ref(), &mut slots)?,
+    let mut misses = Vec::new();
+    for (i, slot) in slots.iter_mut().enumerate() {
+        *slot = cache.as_ref().and_then(|(store, keys)| {
+            trial_from_payload(sweep, i, &store.load(&keys[i])?).ok()
+        });
+        if slot.is_none() {
+            misses.push(i);
+        }
+    }
+    let hits = total - misses.len();
+    let mut progress = CellProgress { total, done: hits, cached: hits, degraded: 0 };
+    emit_progress(progress);
+    // Every finished miss lands here, wherever it ran: stored in the
+    // cache (encoded once, under the key computed above), slotted, and
+    // reported.
+    let mut finish = |i: usize, trial: Trial, degraded: bool| -> Result<(), String> {
+        if let Some((store, keys)) = &cache {
+            store.store(&keys[i], &payload_json(&trial.result, None)?)?;
+        }
+        slots[i] = Some(trial);
+        progress.done += 1;
+        progress.degraded += usize::from(degraded);
+        emit_progress(progress);
+        Ok(())
+    };
+    let pool = match workers {
+        Some(workers) => run_pool(sweep, opts, workers, &misses, &mut finish)?,
+        // One thread whatever `sweep.threads` says: the peak-RSS cost of
+        // more is given at `IN_PROCESS_THREADS`.
+        None => {
+            sweep.run_cells(&misses, IN_PROCESS_THREADS, |i, t| finish(i, t, false))?;
+            PoolSummary::default()
+        }
     };
     Ok((crate::filled(slots)?, DispatchReport::new(total, hits, pool)))
 }
 
-/// A local run: the cache dance over the whole grid, with the misses
-/// simulated by spawned worker processes or, without workers, in this
-/// process. Returns the cache hits and the pool's accounting.
-fn run_local(
+/// Receives each finished cell: `(grid index, trial, degraded)`.
+type Finish<'a> = dyn FnMut(usize, Trial, bool) -> Result<(), String> + 'a;
+
+/// Runs the cache misses on `workers`, streaming each result to
+/// `finish`. Cells the pool hands back fail a spawned run (naming the
+/// cell in grid terms, with its fault history) and finish in-process in
+/// a served one — graceful degradation: a slower tail, not a failure.
+fn run_pool(
     sweep: &Sweep,
     opts: &DispatchOptions,
-    cache: Option<&CellCache>,
-    slots: &mut [Option<Trial>],
-) -> Result<(usize, PoolSummary), String> {
-    let mut progress = CellProgress { total: slots.len(), ..CellProgress::default() };
-    let mut pool = PoolSummary::default();
-    let all: Vec<usize> = (0..slots.len()).collect();
-    let run = |misses: &[usize], done: &mut OnDone<'_>| {
-        if opts.workers == 0 {
-            // One thread whatever `sweep.threads` says: the peak-RSS
-            // cost of more is given at `IN_PROCESS_THREADS`.
-            return sweep.run_cells(misses, IN_PROCESS_THREADS, done);
-        }
-        if misses.is_empty() {
-            return Ok(());
-        }
-        let cells: Vec<u64> = misses.iter().map(|&i| i as u64).collect();
-        let cfg = rix_dispatch::PoolConfig {
-            workers: opts.workers,
-            cell_timeout: opts.cell_timeout,
-            retries: opts.retries,
-            worker_cmd: None,
-        };
-        let (payloads, summary) = rix_dispatch::dispatch_cells(&plan_json(sweep), &cells, &cfg)
-            .map_err(|e| describe_pool_error(e, sweep))?;
-        pool = summary;
-        for (&i, payload) in misses.iter().zip(&payloads) {
-            done(i, trial_from_payload(sweep, i, payload)?)?;
-        }
-        Ok(())
+    workers: Workers,
+    misses: &[usize],
+    finish: &mut Finish<'_>,
+) -> Result<PoolSummary, String> {
+    let served = matches!(workers, Workers::Listen(_));
+    let cfg = rix_dispatch::PoolConfig {
+        cell_timeout: opts.cell_timeout,
+        retries: opts.retries,
+        heartbeat: opts.heartbeat,
+        quarantine_after: opts.quarantine_after,
+        worker_wait: opts.worker_wait,
+        token: opts.token.clone(),
     };
-    let hits = run_cached(sweep, &all, cache, slots, &mut progress, false, run)?;
-    Ok((hits, pool))
+    let cells: Vec<u64> = misses.iter().map(|&i| i as u64).collect();
+    let on_result = |pos: usize, payload: Json| {
+        let i = misses[pos];
+        finish(i, trial_from_payload(sweep, i, &payload)?, false)
+    };
+    let outcome = rix_dispatch::dispatch_cells(workers, &plan_json(sweep), &cells, &cfg, on_result)
+        .map_err(|e| describe_pool_error(e, sweep))?;
+    if !served {
+        return outcome.into_result().map_err(|e| describe_pool_error(e, sweep));
+    }
+    let mut tail: Vec<usize> = outcome.unfinished.iter().map(|&(pos, _)| misses[pos]).collect();
+    tail.sort_unstable();
+    if !tail.is_empty() {
+        eprintln!("dispatch: finishing {} degraded cell(s) in-process", tail.len());
+    }
+    sweep.run_cells(&tail, IN_PROCESS_THREADS, |i, t| finish(i, t, true))?;
+    Ok(outcome.summary)
 }
 
 /// Renders a pool error with the failing cell named in grid terms —
@@ -683,60 +693,6 @@ fn describe_pool_error(e: rix_dispatch::PoolError, sweep: &Sweep) -> String {
         Some(format!("{}/{} (seed {})", bench.name, label, sweep.seed))
     })
     .to_string()
-}
-
-/// A served (TCP) run: bind the listener, hand the whole grid to
-/// [`rix_dispatch::serve_cells`] — no cache prefilter; keyed cells let
-/// remote workers run the cache dance against our local cache — and
-/// finish whatever degraded back to us in-process. Returns the cache
-/// hits (remote and local) and the network pool's accounting.
-fn run_served(
-    sweep: &Sweep,
-    opts: &DispatchOptions,
-    addr: &str,
-    cache: Option<&CellCache>,
-    slots: &mut [Option<Trial>],
-) -> Result<(usize, PoolSummary), String> {
-    let listener = std::net::TcpListener::bind(addr)
-        .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| format!("cannot resolve listen address: {e}"))?;
-    eprintln!("dispatch: listening on {local}");
-
-    let cfg = rix_dispatch::NetPoolConfig {
-        cell_timeout: opts.cell_timeout,
-        retries: opts.retries,
-        heartbeat: opts.heartbeat,
-        quarantine_after: opts.quarantine_after,
-        worker_wait: opts.worker_wait,
-        token: opts.token.clone(),
-    };
-    let total = slots.len();
-    let cells: Vec<u64> = (0..total as u64).collect();
-    let (keys, store) = (cache.map(|c| c.keys.as_slice()), cache.map(|c| &c.store));
-    let outcome = rix_dispatch::serve_cells(listener, &plan_json(sweep), &cells, keys, store, &cfg)
-        .map_err(|e| describe_pool_error(e, sweep))?;
-    for (i, payload) in outcome.payloads.iter().enumerate() {
-        if let Some(payload) = payload {
-            slots[i] = Some(trial_from_payload(sweep, i, payload)?);
-        }
-    }
-    let remote_hits = usize::try_from(outcome.summary.cache_hits).unwrap_or(usize::MAX);
-    let done = total - outcome.unfinished.len();
-    let mut progress = CellProgress { total, done, cached: remote_hits, degraded: 0 };
-    // Graceful degradation: whatever the network could not finish runs
-    // here, through the same cache dance and executor (on one thread) as
-    // every other in-process path.
-    if !outcome.unfinished.is_empty() {
-        eprintln!("dispatch: finishing {} degraded cell(s) in-process", outcome.unfinished.len());
-    }
-    let tail = |misses: &[usize], done: &mut OnDone<'_>| {
-        sweep.run_cells(misses, IN_PROCESS_THREADS, done)
-    };
-    let tail_hits =
-        run_cached(sweep, &outcome.unfinished, cache, slots, &mut progress, true, tail)?;
-    Ok((remote_hits + tail_hits, outcome.summary))
 }
 
 // ----- the worker entry points ------------------------------------------
@@ -767,8 +723,8 @@ pub fn worker_main() -> ! {
 /// quarantined.
 pub fn worker_connect_main(addr: &str, name: Option<&str>) -> ! {
     let name = name.map_or_else(default_worker_name, str::to_string);
-    // No wall clock in remote payloads: the coordinator writes cache
-    // entries straight from them.
+    // No wall clock in remote payloads: another host's timing says
+    // nothing about this run's.
     let code = rix_dispatch::connect_worker(addr, &name, &backoff_from_env(), cell_executor(false));
     std::process::exit(code)
 }
@@ -970,6 +926,30 @@ mod tests {
         assert_eq!(report.simulated, 4);
         assert_eq!(report.cache_hits, 0);
         assert_eq!(report.workers_spawned, 0, "in-process run spawns nothing");
+    }
+
+    #[test]
+    fn warm_served_run_needs_no_worker() {
+        let dir = scratch_dir("served-warm");
+        let cache = Some(dir.to_str().expect("utf-8 temp dir").to_string());
+        let sweep = small_sweep();
+        let cold_opts = DispatchOptions { cache: cache.clone(), ..DispatchOptions::default() };
+        let (cold, _) = sweep.run_distributed(&cold_opts).expect("cold run");
+        // Nobody will connect, and the default grace period is a
+        // minute: every cell must come from the cache without waiting.
+        let served = DispatchOptions {
+            cache,
+            listen: Some("127.0.0.1:0".to_string()),
+            ..DispatchOptions::default()
+        };
+        let started = std::time::Instant::now();
+        let (warm, report) = sweep.run_distributed(&served).expect("warm served run");
+        assert!(started.elapsed() < Duration::from_secs(10), "{:?}", started.elapsed());
+        assert_eq!(report.cache_hits, report.cells, "{report:?}");
+        assert_eq!((report.workers_spawned, report.degraded), (0, 0), "{report:?}");
+        let json = |trials: &[Trial]| trials.iter().map(Trial::to_json).collect::<Vec<_>>();
+        assert_eq!(json(&warm), json(&cold));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

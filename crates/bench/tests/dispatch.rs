@@ -4,15 +4,16 @@
 //! simulate nothing, a one-field spec change invalidates exactly the
 //! affected arm's cells, corrupt entries are misses), fault tolerance
 //! (an aborted or stalled worker's cells are retried and the merged
-//! document converges to the no-failure bytes), checkpoint-seeded
+//! document converges to the no-failure bytes; a run that fails still
+//! keeps the cells it finished in the cache), checkpoint-seeded
 //! warm-up hand-off, and the `--dry-run` missing-checkpoint report.
 //!
 //! Plus the multi-host (TCP) transport: `exp serve` + `exp worker
 //! --connect` byte-identity, mid-cell worker kills (requeue on a
 //! healthy peer), reconnect after a dropped connection, half-open
 //! stall detection via heartbeat liveness, quarantine of a repeat
-//! offender, graceful degradation with no workers at all, the remote
-//! cache dance, and `exp workers --status`. Network faults are injected
+//! offender, graceful degradation with no workers at all, the
+//! coordinator-side cache on served runs, and `exp workers --status`. Network faults are injected
 //! with `RIX_DISPATCH_FAULT=net-{exit,drop,stall}:N` in the *worker's*
 //! environment — the coordinator's own environment carries the budget
 //! knobs (`RIX_DISPATCH_{HEARTBEAT_MS,QUARANTINE,WAIT_SECS,RETRIES}`).
@@ -391,6 +392,33 @@ fn retry_exhaustion_names_the_failing_cell() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn failed_pooled_run_keeps_the_cells_it_finished() {
+    // Worker 0 stalls on its first cell (gcc/base) with no retry budget,
+    // so the run fails; but worker 1 finishes the rest of the grid
+    // first, and each of those results is cached as it arrives.
+    let dir = scratch("partial-cache");
+    let spec = write_spec(&dir, SPEC);
+    let cache = dir.join("cache");
+    let cache = cache.to_str().expect("utf-8");
+    let out = exp(
+        &["run", &spec, "--json", "--workers", "2", "--cache", cache],
+        &[
+            ("RIX_DISPATCH_FAULT", "stall:0"),
+            ("RIX_DISPATCH_TIMEOUT_SECS", "1"),
+            ("RIX_DISPATCH_RETRIES", "0"),
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a spent retry budget fails the run:\n{stderr}");
+    assert!(stderr.contains("gcc/base (seed 7)"), "the cell is named in grid terms:\n{stderr}");
+    let rerun = run_json(&["--cache", cache], &[], &spec);
+    let (hits, misses) = cache_counts(&rerun);
+    assert!(hits >= 1, "the healthy worker's cells were kept: {hits} hits, {misses} misses");
+    assert_eq!(trials_of(&rerun), trials_of(&run_json(&[], &[], &spec)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ----- the multi-host transport -----------------------------------------
 
 #[test]
@@ -534,8 +562,9 @@ fn remote_cache_dance_round_trips_over_the_wire() {
     let cache = dir.join("cache");
     let cache = cache.to_str().expect("utf-8");
 
-    // Cold served run: the worker's lookups all miss, it stores
-    // everything back over the wire into the coordinator's cache.
+    // Cold served run: every cell misses the coordinator's cache, is
+    // served to the worker, and is stored by the coordinator as its
+    // result arrives.
     let serve = spawn_serve(&spec, &["--cache", cache], &[]);
     let mut w = spawn_worker(&serve.addr, "first", &[]);
     let (cold, stderr, ok) = serve.finish();
@@ -543,8 +572,8 @@ fn remote_cache_dance_round_trips_over_the_wire() {
     assert_eq!(cache_counts(&cold), (0, 4), "cold served run misses everything");
     let _ = w.wait();
 
-    // Warm served run: the (diskless) worker is served four hits and
-    // simulates nothing.
+    // Warm served run: the coordinator finds all four cells in its
+    // cache, so the (diskless) worker is handed nothing to simulate.
     let serve = spawn_serve(&spec, &["--cache", cache], &[]);
     let mut w = spawn_worker(&serve.addr, "second", &[]);
     let (warm, stderr, ok) = serve.finish();

@@ -122,6 +122,13 @@ impl ResultCache {
         fnv128_hex(descriptor.as_bytes())
     }
 
+    /// Whether `key` has the shape [`ResultCache::key`] produces: 32
+    /// lowercase hex digits. The key becomes a file name, so nothing
+    /// else is ever stored or looked up.
+    fn valid_key(key: &str) -> bool {
+        key.len() == 32 && key.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+    }
+
     fn entry_path(&self, key: &str) -> PathBuf {
         self.dir.join(format!("{key}.json"))
     }
@@ -129,9 +136,13 @@ impl ResultCache {
     /// Looks up `key`, returning the stored payload on a hit. Every
     /// failure mode — no entry, unreadable file, corrupt JSON, a
     /// truncated write from a crashed run, an entry recorded under a
-    /// different schema or key — is a miss (`None`), never an error.
+    /// different schema or key, a key not shaped like
+    /// [`ResultCache::key`]'s — is a miss (`None`), never an error.
     #[must_use]
     pub fn load(&self, key: &str) -> Option<Json> {
+        if !Self::valid_key(key) {
+            return None;
+        }
         let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
         let v = Json::parse(text.trim_end()).ok()?;
         if v.get("schema")?.as_str()? != CACHE_SCHEMA {
@@ -147,8 +158,12 @@ impl ResultCache {
     /// Stores `payload` under `key`, atomically: the entry is written
     /// to a temporary file in the cache directory and renamed into
     /// place, so concurrent readers see either the old entry or the
-    /// complete new one.
+    /// complete new one. A key not shaped like [`ResultCache::key`]'s
+    /// is refused.
     pub fn store(&self, key: &str, payload: &Json) -> Result<(), String> {
+        if !Self::valid_key(key) {
+            return Err(format!("invalid cache key {key:?} (expected 32 lowercase hex digits)"));
+        }
         let entry = Json::Obj(vec![
             ("schema".into(), Json::Str(CACHE_SCHEMA.into())),
             ("key".into(), Json::Str(key.into())),
@@ -372,6 +387,33 @@ mod tests {
         assert_eq!(cache.gc(std::time::Duration::ZERO).unwrap(), 2);
         assert_eq!(cache.stats().unwrap(), CacheStats::default());
         let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn keys_not_shaped_like_key_output_are_refused() {
+        let dir = scratch_dir("bad-keys");
+        let cache = ResultCache::open(&dir).unwrap();
+        let payload = Json::parse(r#"{"v":1}"#).unwrap();
+        let good = ResultCache::key("a cell");
+        let bad = [
+            "../x".to_string(),
+            "/tmp/x".to_string(),
+            good.to_uppercase(),
+            good[..31].to_string(),
+            format!("{good}0"),
+            String::new(),
+        ];
+        for key in &bad {
+            let err = cache.store(key, &payload).unwrap_err();
+            assert!(err.contains("invalid cache key"), "{key:?}: {err}");
+            assert_eq!(cache.load(key), None, "{key:?}");
+        }
+        // Nothing was written, inside the directory or out of it.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        assert!(!dir.parent().unwrap().join("x.json").exists());
+        cache.store(&good, &payload).unwrap();
+        assert_eq!(cache.load(&good), Some(payload));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,52 +1,47 @@
 //! # rix-dispatch: multi-process and multi-host experiment dispatch
 //!
-//! The experiment layer's service tier: a [`pool`] coordinator that
-//! shards independent grid cells across **worker processes** over
-//! stdio, a [`net`] coordinator that does the same across **remote
-//! workers** over TCP, the [`worker`] serve loop those workers run, a
-//! [`transport`] abstraction both share, and a content-addressed
-//! result [`cache`] so a re-run only simulates what changed.
+//! The experiment layer's service tier: one [`pool`] coordinator that
+//! shards independent grid cells across **worker processes** it spawns
+//! (over stdio) or **remote workers** that dial in (over TCP, see
+//! [`net`]), the one [`worker`] session loop both kinds of worker run, a
+//! [`transport`] abstraction under both, and a content-addressed result
+//! [`cache`] the caller consults so a re-run only simulates what
+//! changed.
 //!
 //! The crate is deliberately generic — it knows nothing about
 //! simulators, benchmarks or sweeps. A *plan* is an opaque JSON value
 //! the caller serialises, a *cell* is a `u64` index into work only the
 //! caller can interpret, and a *payload* is whatever JSON the worker's
 //! executor returns for a cell. `rix-bench` layers the (benchmark ×
-//! config) grid semantics on top; anything else with independent,
-//! deterministic, numberable work units can reuse the same pool.
+//! config) grid semantics on top, and owns the cache: it prefilters
+//! hits before dispatch and stores each result as it streams back, so
+//! only results for assigned cells, under keys it computed, are ever
+//! written. Anything else with independent, deterministic, numberable
+//! work units can reuse the same pool.
 //!
-//! ## Protocol (`rix-dispatch/2`, superset of `/1`)
+//! ## Protocol (`rix-dispatch/2`)
 //!
-//! Newline-delimited JSON frames. Over stdio the channel is the
-//! worker's stdin/stdout (stderr passes through to the coordinator's,
-//! so worker diagnostics stay visible); over TCP it is one socket per
-//! worker connection. The `/1` core:
-//!
-//! ```text
-//! coordinator → worker   {"schema":"rix-dispatch/2","type":"init","worker":0,
-//!                         "heartbeat_ms":2000,"cache":true,"plan":{…}}
-//! coordinator → worker   {"type":"cell","cell":5,"key":"<cache key>"}
-//! worker → coordinator   {"type":"result","cell":5,"payload":{…}}
-//! worker → coordinator   {"type":"error","cell":5,"message":"…"}
-//! ```
-//!
-//! and the `/2` extensions (all absent over plain stdio dispatch, which
-//! sends `heartbeat_ms:0`, `cache:false` and keyless cells):
+//! Newline-delimited JSON frames, each at most
+//! [`transport::MAX_FRAME`] bytes. For a spawned worker the channel is
+//! its stdin/stdout (stderr passes through to the coordinator's, so
+//! worker diagnostics stay visible); for a remote worker it is one
+//! socket per connection. The frames:
 //!
 //! ```text
 //! worker → coordinator   {"schema":"rix-dispatch/2","type":"hello",
-//!                         "name":"w4242","role":"worker","token":"…"}
-//! either direction       {"type":"ping","n":7}
-//! worker → coordinator   {"type":"cache_load","key":"…"}
-//! coordinator → worker   {"type":"cache_hit","key":"…","payload":{…}}
-//! coordinator → worker   {"type":"cache_miss","key":"…"}
-//! worker → coordinator   {"type":"cache_store","key":"…","payload":{…}}
-//! worker → coordinator   {"type":"result","cell":5,"cached":true,"payload":{…}}
+//!                         "name":"w4242","role":"worker","token":"…"}   (TCP only)
+//! coordinator → worker   {"schema":"rix-dispatch/2","type":"init","worker":0,
+//!                         "heartbeat_ms":2000,"plan":{…}}
+//! coordinator → worker   {"type":"cell","cell":5}
+//! worker → coordinator   {"type":"result","cell":5,"payload":{…}}
+//! worker → coordinator   {"type":"error","cell":5,"message":"…"}
+//! either direction       {"type":"ping","n":7}                          (TCP only)
 //! coordinator → worker   {"type":"shutdown"}
-//! coordinator → worker   {"type":"quarantine"}
+//! coordinator → worker   {"type":"quarantine"}                          (TCP only)
 //! ```
 //!
-//! A TCP connection opens with the worker's `hello` (a `"role":"status"`
+//! A spawned worker is sent `init` with `heartbeat_ms:0` at birth. A
+//! TCP connection opens with the worker's `hello` (a `"role":"status"`
 //! hello instead receives one `rix-dispatch-status/1` document and is
 //! closed — that is how `exp workers --status` works). When the
 //! coordinator was started with a shared secret (`--token` /
@@ -54,56 +49,34 @@
 //! carry a matching `"token"` field; a missing or mismatched token is
 //! answered with a single cell-less `{"type":"error"}` frame and the
 //! connection is closed before any work is offered. The coordinator
-//! answers with `init`, then one `cell` at a time per worker (every
-//! worker stays single-occupied, so a slow cell never queues behind a
-//! fast one). Any received frame proves the peer alive; `ping` frames
-//! exist so that proof keeps arriving while a long cell runs. `init`
-//! with `"cache":true` tells the worker to run the cache dance for
-//! keyed cells: `cache_load` before executing (a `cache_hit` payload is
-//! returned as a `"cached":true` result without executing), and
-//! `cache_store` after a miss — the coordinator serves both from its
-//! local [`cache::ResultCache`], so diskless remote hosts still dedup.
-//! `shutdown` ends a worker cleanly (exit 0); `quarantine` tells a peer
-//! the coordinator gave up on it (exit 3).
-//!
-//! Workers accept `/1` or `/2` in `init`; every frame a `/1`
-//! coordinator sends is valid `/2`.
+//! then sends one `cell` at a time per worker (every worker stays
+//! single-occupied, so a slow cell never queues behind a fast one). Any
+//! received frame proves the peer alive; `ping` frames exist so that
+//! proof keeps arriving while a long cell runs. `shutdown` (or, for a
+//! spawned worker, its stdin closing) ends a worker cleanly (exit 0);
+//! `quarantine` tells a peer the coordinator gave up on it (exit 3). A
+//! worker that cannot follow the protocol answers with a cell-less
+//! `error` frame and exits 1.
 //!
 //! ## Fault model
 //!
-//! Shared (both transports):
+//! | fault | spawned (stdio) | remote (TCP) |
+//! |---|---|---|
+//! | worker dies mid-cell (EOF) | cell requeued on a survivor, bounded per-cell retry budget | same; the worker reconnects with backoff + jitter ([`transport::Backoff`]) |
+//! | worker hangs | per-cell deadline: process killed, cell requeued | per-cell deadline: connection closed, cell requeued |
+//! | half-open link / partition | cannot happen (pipes EOF) | silent past 4× the heartbeat ⇒ lost, cell requeued |
+//! | repeat offender | — (a dead process never returns) | K consecutive failures ⇒ peer quarantined, its cells drain elsewhere |
+//! | retry budget spent | cell handed back unfinished | cell handed back unfinished |
+//! | no live worker | queue handed back at once | queue handed back after `worker_wait` |
+//! | executor `error` | **fatal** to the run, no retry | **fatal** to the run, no retry |
 //!
-//! * worker death (crash, abort, kill — EOF on the channel) →
-//!   in-flight cell retried elsewhere, bounded per-cell retry budget;
-//! * worker hang → per-cell deadline, kill/disconnect, retry;
-//! * deterministic executor `error` → **fatal** to the whole run, no
-//!   retry: cells are deterministic, so an error one worker can report
-//!   is an error every retry would hit too.
+//! Cells are deterministic, so an error one worker can report is an
+//! error every retry would hit too. What happens to handed-back cells
+//! is the caller's choice ([`pool::PoolOutcome`]): `rix-bench` fails a
+//! spawned run, naming the cell whose budget ran out, and finishes a
+//! served run's cells in-process (graceful degradation).
 //!
-//! stdio only:
-//!
-//! * all workers dead with work remaining → the run fails with a
-//!   descriptive error (workers are not respawned — a workload that
-//!   kills every process it touches is a bug to report, not mask).
-//!
-//! TCP only (networks add failure modes pipes cannot have):
-//!
-//! * half-open connection / partition → no frames arrive; the peer is
-//!   declared lost when silent past the liveness deadline (4× the
-//!   heartbeat interval), its in-flight cell requeued;
-//! * lost worker → reconnects with exponential backoff + jitter under
-//!   a capped attempt budget ([`transport::Backoff`]);
-//! * a peer whose consecutive failures reach the quarantine threshold
-//!   is quarantined: its connections are refused work, its cells drain
-//!   to healthy peers;
-//! * all remote capacity lost (and not recovered within the grace
-//!   period) or a cell's retry budget spent → **graceful degradation**:
-//!   the affected cells are handed back to the caller to finish
-//!   in-process, and the degradation is reported in
-//!   [`pool::PoolSummary`] — a distributed sweep completes with a
-//!   slower tail rather than failing.
-//!
-//! Fault injection for tests: `RIX_DISPATCH_FAULT` takes the legacy
+//! Fault injection for tests: `RIX_DISPATCH_FAULT` takes the
 //! process-level specs (`abort:K` / `stall:K`, interpreted by the
 //! executor layer) and the network-level specs
 //! ([`transport::NetFault`]: `net-drop:N[:repeat]` / `net-stall:N` /
@@ -121,24 +94,21 @@ pub mod transport;
 pub mod worker;
 
 pub use cache::{CacheStats, ResultCache};
-pub use net::{connect_worker, query_status, serve_cells, NetOutcome, NetPoolConfig};
-pub use pool::{dispatch_cells, PoolConfig, PoolError, PoolSummary, WorkerStat};
+pub use net::{connect_worker, query_status};
+pub use pool::{
+    dispatch_cells, PoolConfig, PoolError, PoolOutcome, PoolSummary, WorkerStat, Workers,
+};
 pub use transport::{Backoff, NetFault, NetFaultKind};
 pub use worker::serve;
 
-/// The hidden first argument a coordinator passes when self-exec'ing a
-/// worker (`current_exe() __rix-worker`). Binaries that can act as
-/// workers check for it first thing in `main` (before any other flag
-/// parsing) and enter their serve loop.
+/// The hidden first argument a coordinator's caller passes when
+/// self-exec'ing a worker (`current_exe() __rix-worker`). Binaries that
+/// can act as workers check for it first thing in `main` (before any
+/// other flag parsing) and enter their serve loop.
 pub const WORKER_ARG: &str = "__rix-worker";
 
 /// The protocol schema this build speaks (named in `init` and `hello`).
 pub const PROTOCOL_SCHEMA: &str = "rix-dispatch/2";
-
-/// The previous protocol schema, still accepted in `init`: `/2` is a
-/// strict superset, so a `/1` coordinator drives a `/2` worker
-/// unchanged.
-pub const PROTOCOL_SCHEMA_V1: &str = "rix-dispatch/1";
 
 /// The schema of the status document served to a `"role":"status"`
 /// hello (see [`net::query_status`]).

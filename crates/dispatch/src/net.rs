@@ -1,256 +1,60 @@
-//! The socket transport: a TCP coordinator ([`serve_cells`]) and the
-//! reconnecting remote worker that feeds from it ([`connect_worker`]).
+//! The TCP side of dispatch: the listening coordinator's accept loop
+//! and handshake read, the reconnecting remote worker
+//! ([`connect_worker`]), and the status query ([`query_status`]).
 //!
-//! The stdio pool ([`crate::pool`]) owns its workers — it spawned them,
-//! a pipe EOF is a death certificate, and a pipe cannot go half-open.
-//! None of that holds over a network: workers arrive on their own
-//! schedule, vanish without an EOF, stall behind partitions, and come
-//! back. This module is built around those failure modes:
+//! Networks add failure modes pipes cannot have: workers arrive on
+//! their own schedule, vanish without an EOF, stall behind partitions,
+//! and come back. The coordinator's state machine ([`crate::pool`])
+//! handles the coordinator half; this module supplies:
 //!
-//! * **Heartbeats + liveness deadline.** Both sides send `ping` frames
-//!   every heartbeat interval; any received frame proves the peer
-//!   alive. A connection silent for 4× the heartbeat is declared lost
-//!   and its in-flight cell requeued — that is the only way to detect a
-//!   half-open TCP connection or a partition.
+//! * **Heartbeats.** Once `init` names a heartbeat interval, the worker
+//!   pings on a side thread while a cell runs, and treats a coordinator
+//!   silent for 4× the interval as lost.
 //! * **Reconnect with backoff.** A worker that loses the coordinator
 //!   retries under a [`Backoff`] schedule (exponential, jittered,
 //!   capped attempt budget). The budget resets after any connection
 //!   that got as far as `init`, so a long-lived worker never ages out.
-//! * **Quarantine.** Cell losses are attributed to the named peer
-//!   (across reconnects). After `quarantine_after` *consecutive*
-//!   attributed failures the peer is quarantined: its next hello is
-//!   answered with a `quarantine` frame (worker exits 3) and its cells
-//!   drain to healthy peers.
-//! * **Graceful degradation.** A cell whose retry budget is spent, or
-//!   every queued cell once all remote capacity has been gone longer
-//!   than `worker_wait`, is handed back to the caller as *unfinished*
-//!   rather than failing the run — the caller finishes those cells
-//!   in-process and the [`PoolSummary`] records the degradation.
-//!
-//! The coordinator also serves the result cache over the wire
-//! (`cache_load` / `cache_store` answered from its local
-//! [`ResultCache`]), so remote hosts need no disk and no shared
-//! filesystem to dedup.
+//! * **Bounded admission.** At most `MAX_CONNECTIONS` (256) connections
+//!   (handshaking or admitted) are live at once; past that, a new
+//!   connection is closed on accept, so a flood of silent peers cannot
+//!   pin a thread each for the hello deadline.
 
-use crate::cache::ResultCache;
-use crate::pool::{CellLedger, PoolError, PoolSummary, WorkerStat};
-use crate::transport::{
-    Backoff, FrameSink, LineSource, NetFault, NetFaultKind, NextLine, TcpSink, TcpSource,
-};
-use crate::worker::{check_init_schema, run_cell, ServeError};
+use crate::pool::{forward, Event};
+use crate::transport::{Backoff, FrameSink, LineSource, NetFault, NextLine, TcpSink, TcpSource};
+use crate::worker::{session, End};
 use rix_isa::json::Json;
-use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// How long a freshly-accepted connection may take to say `hello`.
 const HELLO_DEADLINE: Duration = Duration::from_secs(10);
 /// Poll granularity for socket reads and the coordinator event loop.
-const POLL: Duration = Duration::from_millis(50);
-
-/// Tuning for one [`serve_cells`] run.
-#[derive(Clone, Debug)]
-pub struct NetPoolConfig {
-    /// Deadline per cell assignment; a worker that exceeds it is
-    /// presumed hung, disconnected, and its cell retried elsewhere.
-    pub cell_timeout: Duration,
-    /// How many times one cell may be retried after a loss before it
-    /// degrades to in-process execution.
-    pub retries: u32,
-    /// Heartbeat interval (liveness deadline is 4× this).
-    pub heartbeat: Duration,
-    /// Consecutive attributed failures that quarantine a peer.
-    pub quarantine_after: u32,
-    /// How long the coordinator waits with zero connected capacity
-    /// (including at startup) before degrading the remaining cells to
-    /// in-process execution.
-    pub worker_wait: Duration,
-    /// Shared secret: when set, every `hello` (worker and status alike)
-    /// must carry a matching `"token"` field; a mismatch is answered
-    /// with one structured `error` frame and the connection is closed.
-    /// Workers read theirs from `RIX_DISPATCH_TOKEN`.
-    pub token: Option<String>,
-}
-
-impl Default for NetPoolConfig {
-    fn default() -> Self {
-        Self {
-            cell_timeout: Duration::from_secs(300),
-            retries: 2,
-            heartbeat: Duration::from_secs(2),
-            quarantine_after: 3,
-            worker_wait: Duration::from_secs(60),
-            token: None,
-        }
-    }
-}
-
-/// What a [`serve_cells`] run produced: payloads for the cells remote
-/// workers finished, the indices it degraded (for the caller to finish
-/// in-process), and the accounting.
-#[derive(Debug)]
-pub struct NetOutcome {
-    /// One slot per input cell, in order; `None` exactly for the
-    /// entries listed in `unfinished`.
-    pub payloads: Vec<Option<Json>>,
-    /// Indices (into the input `cells`) that degraded to the caller.
-    pub unfinished: Vec<usize>,
-    /// The run's accounting, including per-peer stats.
-    pub summary: PoolSummary,
-}
-
-enum NetEvent {
-    /// Connection `id` completed its handshake read: here is its write
-    /// half and its `hello`.
-    Hello(usize, TcpSink, Json),
-    /// One frame from connection `id`.
-    Line(usize, String),
-    /// Connection `id` closed (EOF, reset, or our own shutdown).
-    Eof(usize),
-}
-
-struct Conn {
-    name: String,
-    sink: TcpSink,
-    alive: bool,
-    /// `(position in `cells`, deadline)` of the in-flight assignment.
-    busy: Option<(usize, Instant)>,
-    last_seen: Instant,
-}
-
-#[derive(Default)]
-struct Peer {
-    connections: u64,
-    cells_completed: u64,
-    failures: u64,
-    consecutive: u32,
-    quarantined: bool,
-}
-
-/// Serves `cells` to remote workers connecting on `listener` and
-/// returns their payloads in cell order (degraded cells excepted — see
-/// [`NetOutcome`]).
-///
-/// `keys[i]` (when given, one per cell) rides along on the cell frame
-/// so workers can run the remote cache dance; `cache` is the local
-/// store that backs their `cache_load`/`cache_store` traffic.
-///
-/// Fails only on a worker-reported `error` (deterministic, so no retry
-/// can help) — every *network* failure is retried, quarantined around,
-/// or degraded past, never fatal.
-pub fn serve_cells(
-    listener: TcpListener,
-    plan: &Json,
-    cells: &[u64],
-    keys: Option<&[String]>,
-    cache: Option<&ResultCache>,
-    cfg: &NetPoolConfig,
-) -> Result<NetOutcome, PoolError> {
-    if let Some(keys) = keys {
-        if keys.len() != cells.len() {
-            return Err(PoolError::msg(format!(
-                "internal: {} cache keys for {} cells",
-                keys.len(),
-                cells.len()
-            )));
-        }
-    }
-    if cells.is_empty() {
-        return Ok(NetOutcome {
-            payloads: Vec::new(),
-            unfinished: Vec::new(),
-            summary: PoolSummary::default(),
-        });
-    }
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| PoolError::msg(format!("cannot make the listener non-blocking: {e}")))?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = mpsc::channel::<NetEvent>();
-    {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || accept_loop(&listener, &tx, &stop));
-    }
-
-    let mut co = Coordinator {
-        cfg,
-        cache,
-        keys,
-        plan_line: plan.dump(),
-        ledger: CellLedger::new(cells),
-        summary: PoolSummary::default(),
-        unfinished: Vec::new(),
-        conns: BTreeMap::new(),
-        peers: BTreeMap::new(),
-        ping_n: 0,
-    };
-    let mut last_capacity = Instant::now();
-    let mut last_ping = Instant::now();
-
-    let out = loop {
-        if co.ledger.done + co.unfinished.len() == cells.len() {
-            break Ok(());
-        }
-        co.feed();
-        if last_ping.elapsed() >= cfg.heartbeat {
-            last_ping = Instant::now();
-            co.ping_all();
-        }
-        match rx.recv_timeout(POLL) {
-            Ok(NetEvent::Hello(id, sink, hello)) => co.handle_hello(id, sink, &hello),
-            Ok(NetEvent::Line(id, line)) => {
-                if let Err(e) = co.handle_line(id, &line) {
-                    break Err(e);
-                }
-            }
-            Ok(NetEvent::Eof(id)) => co.lose_conn(id, "lost its connection"),
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                break Err(PoolError::msg("connection event channel closed unexpectedly"));
-            }
-        }
-        co.sweep_deadlines();
-        co.sweep_liveness();
-        if co.has_capacity() {
-            last_capacity = Instant::now();
-        } else if last_capacity.elapsed() > cfg.worker_wait {
-            co.degrade_queue(&format!(
-                "no connected workers for {:.1}s",
-                cfg.worker_wait.as_secs_f64()
-            ));
-        }
-    };
-    stop.store(true, Ordering::Relaxed);
-    co.finish();
-    match out {
-        Ok(()) => {
-            let mut unfinished = co.unfinished;
-            unfinished.sort_unstable();
-            Ok(NetOutcome { payloads: co.ledger.results, unfinished, summary: co.summary })
-        }
-        Err(e) => Err(e),
-    }
-}
+pub(crate) const POLL: Duration = Duration::from_millis(50);
+/// Live connections a listening coordinator holds at once.
+const MAX_CONNECTIONS: usize = 256;
 
 /// Accepts connections until told to stop, spawning a reader thread per
-/// connection.
-fn accept_loop(listener: &TcpListener, tx: &mpsc::Sender<NetEvent>, stop: &Arc<AtomicBool>) {
+/// connection while fewer than `MAX_CONNECTIONS` are live.
+pub(crate) fn accept_loop(listener: &TcpListener, tx: &mpsc::Sender<Event>, stop: &AtomicBool) {
+    let live = Arc::new(AtomicUsize::new(0));
     let mut next_id = 0usize;
     while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let id = next_id;
-                next_id += 1;
-                let tx = tx.clone();
-                std::thread::spawn(move || connection_reader(id, stream, &tx));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
-            Err(_) => std::thread::sleep(POLL),
+        let Ok((stream, _)) = listener.accept() else {
+            std::thread::sleep(POLL);
+            continue;
+        };
+        if live.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+            continue; // dropping the stream closes it
         }
+        live.fetch_add(1, Ordering::SeqCst);
+        let (id, tx, live) = (next_id, tx.clone(), Arc::clone(&live));
+        next_id += 1;
+        std::thread::spawn(move || {
+            connection_reader(id, stream, &tx);
+            live.fetch_sub(1, Ordering::SeqCst);
+        });
     }
 }
 
@@ -258,7 +62,7 @@ fn accept_loop(listener: &TcpListener, tx: &mpsc::Sender<NetEvent>, stop: &Arc<A
 /// handshake `hello` first (with a deadline — a connection that never
 /// introduces itself is dropped without bothering the event loop), then
 /// every subsequent frame, then EOF.
-fn connection_reader(id: usize, stream: TcpStream, tx: &mpsc::Sender<NetEvent>) {
+fn connection_reader(id: usize, stream: TcpStream, tx: &mpsc::Sender<Event>) {
     let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else { return };
     let mut sink = TcpSink::new(write_half);
@@ -277,424 +81,16 @@ fn connection_reader(id: usize, stream: TcpStream, tx: &mpsc::Sender<NetEvent>) 
             }
         }
     };
-    let Ok(hello) = Json::parse(&hello) else {
+    let sent =
+        Json::parse(&hello).is_ok_and(|h| tx.send(Event::Hello(id, sink.clone(), h)).is_ok());
+    if sent {
+        forward(id, &mut source, tx);
+    } else {
         sink.close();
-        return;
-    };
-    if tx.send(NetEvent::Hello(id, sink.clone(), hello)).is_err() {
-        sink.close();
-        return;
-    }
-    loop {
-        match source.next_line() {
-            Ok(NextLine::Line(line)) => {
-                if tx.send(NetEvent::Line(id, line)).is_err() {
-                    return;
-                }
-            }
-            Ok(NextLine::Idle) => {}
-            Ok(NextLine::Eof) | Err(_) => {
-                let _ = tx.send(NetEvent::Eof(id));
-                return;
-            }
-        }
-    }
-}
-
-struct Coordinator<'a> {
-    cfg: &'a NetPoolConfig,
-    cache: Option<&'a ResultCache>,
-    keys: Option<&'a [String]>,
-    plan_line: String,
-    ledger: CellLedger<'a>,
-    summary: PoolSummary,
-    unfinished: Vec<usize>,
-    conns: BTreeMap<usize, Conn>,
-    peers: BTreeMap<String, Peer>,
-    ping_n: u64,
-}
-
-impl Coordinator<'_> {
-    fn handle_hello(&mut self, id: usize, mut sink: TcpSink, hello: &Json) {
-        if check_init_schema(hello).is_err() {
-            let _ = sink.send(&format!(
-                "{{\"type\":\"error\",\"message\":{}}}",
-                Json::Str(format!(
-                    "unsupported hello schema (this coordinator speaks {})",
-                    crate::PROTOCOL_SCHEMA
-                ))
-                .dump()
-            ));
-            sink.close();
-            return;
-        }
-        if let Some(expected) = &self.cfg.token {
-            if hello.get("token").and_then(Json::as_str) != Some(expected.as_str()) {
-                let _ = sink.send(&format!(
-                    "{{\"type\":\"error\",\"message\":{}}}",
-                    Json::Str(
-                        "hello rejected: missing or mismatched token (set --token or \
-                         RIX_DISPATCH_TOKEN to this coordinator's shared secret)"
-                            .into()
-                    )
-                    .dump()
-                ));
-                sink.close();
-                return;
-            }
-        }
-        if hello.get("role").and_then(Json::as_str) == Some("status") {
-            let _ = sink.send(&self.status_doc().dump());
-            sink.close();
-            return;
-        }
-        let name = hello
-            .get("name")
-            .and_then(Json::as_str)
-            .map_or_else(|| format!("conn-{id}"), str::to_string);
-        let peer = self.peers.entry(name.clone()).or_default();
-        if peer.quarantined {
-            let _ = sink.send("{\"type\":\"quarantine\"}");
-            sink.close();
-            return;
-        }
-        peer.connections += 1;
-        let init = format!(
-            "{{\"schema\":\"{}\",\"type\":\"init\",\"worker\":{id},\"heartbeat_ms\":{},\
-             \"cache\":{},\"plan\":{}}}",
-            crate::PROTOCOL_SCHEMA,
-            self.cfg.heartbeat.as_millis(),
-            self.cache.is_some(),
-            self.plan_line
-        );
-        if sink.send(&init).is_err() {
-            sink.close();
-            return;
-        }
-        eprintln!("dispatch: worker {name} connected");
-        self.conns.insert(
-            id,
-            Conn { name, sink, alive: true, busy: None, last_seen: Instant::now() },
-        );
-    }
-
-    fn handle_line(&mut self, id: usize, line: &str) -> Result<(), PoolError> {
-        let Some(conn) = self.conns.get_mut(&id) else { return Ok(()) };
-        if !conn.alive {
-            return Ok(());
-        }
-        conn.last_seen = Instant::now();
-        let Ok(msg) = Json::parse(line) else {
-            self.lose_conn(id, "sent an unparsable frame");
-            return Ok(());
-        };
-        match msg.get("type").and_then(Json::as_str) {
-            Some("ping") => Ok(()),
-            Some("result") => {
-                let name = conn.name.clone();
-                let (Ok(cell), Ok(payload)) = (msg.req_u64("cell"), msg.req("payload")) else {
-                    self.lose_conn(id, "sent a malformed result frame");
-                    return Ok(());
-                };
-                match conn.busy {
-                    Some((pos, _)) if self.ledger.cells[pos] == cell => {
-                        let payload = payload.clone();
-                        conn.busy = None;
-                        if msg.get("cached").and_then(Json::as_bool) == Some(true) {
-                            self.summary.cache_hits += 1;
-                        }
-                        let peer = self.peers.entry(name).or_default();
-                        peer.cells_completed += 1;
-                        peer.consecutive = 0;
-                        self.ledger.complete(pos, payload);
-                    }
-                    _ => self.lose_conn(id, &format!("sent a result for unassigned cell {cell}")),
-                }
-                Ok(())
-            }
-            Some("error") => {
-                let cell = msg.get("cell").and_then(Json::as_u64);
-                let message = msg.get("message").and_then(Json::as_str).unwrap_or("(no message)");
-                Err(PoolError {
-                    cell,
-                    history: cell
-                        .and_then(|c| self.ledger.cells.iter().position(|&x| x == c))
-                        .map(|pos| self.ledger.history[pos].clone())
-                        .unwrap_or_default(),
-                    message: format!("worker {} reported: {message}", conn.name),
-                })
-            }
-            Some("cache_load") => {
-                let Some(key) = msg.get("key").and_then(Json::as_str) else {
-                    self.lose_conn(id, "sent a keyless cache_load");
-                    return Ok(());
-                };
-                let kj = Json::Str(key.to_string()).dump();
-                let reply = match self.cache.and_then(|c| c.load(key)) {
-                    Some(payload) => format!(
-                        "{{\"type\":\"cache_hit\",\"key\":{kj},\"payload\":{}}}",
-                        payload.dump()
-                    ),
-                    None => format!("{{\"type\":\"cache_miss\",\"key\":{kj}}}"),
-                };
-                if conn.sink.send(&reply).is_err() {
-                    self.lose_conn(id, "lost its connection");
-                }
-                Ok(())
-            }
-            Some("cache_store") => {
-                let (Some(key), Ok(payload)) =
-                    (msg.get("key").and_then(Json::as_str), msg.req("payload"))
-                else {
-                    self.lose_conn(id, "sent a malformed cache_store");
-                    return Ok(());
-                };
-                if let Some(cache) = self.cache {
-                    if let Err(e) = cache.store(key, payload) {
-                        eprintln!("dispatch: cache store failed (continuing): {e}");
-                    }
-                }
-                Ok(())
-            }
-            other => {
-                self.lose_conn(id, &format!("sent an unexpected {other:?} frame"));
-                Ok(())
-            }
-        }
-    }
-
-    /// Hands queued cells to every idle live connection.
-    fn feed(&mut self) {
-        let mut lost: Vec<usize> = Vec::new();
-        for (&id, conn) in &mut self.conns {
-            if !(conn.alive && conn.busy.is_none()) {
-                continue;
-            }
-            let Some(pos) = self.ledger.queue.pop_front() else { break };
-            let frame = match self.keys {
-                Some(keys) => format!(
-                    "{{\"type\":\"cell\",\"cell\":{},\"key\":{}}}",
-                    self.ledger.cells[pos],
-                    Json::Str(keys[pos].clone()).dump()
-                ),
-                None => format!("{{\"type\":\"cell\",\"cell\":{}}}", self.ledger.cells[pos]),
-            };
-            if conn.sink.send(&frame).is_ok() {
-                conn.busy = Some((pos, Instant::now() + self.cfg.cell_timeout));
-            } else {
-                // The send itself failed, so the cell never reached the
-                // worker: put it back uncharged and retire the
-                // connection (its EOF event is already in flight).
-                self.ledger.queue.push_front(pos);
-                lost.push(id);
-            }
-        }
-        for id in lost {
-            self.lose_conn(id, "lost its connection");
-        }
-    }
-
-    fn ping_all(&mut self) {
-        self.ping_n += 1;
-        let frame = format!("{{\"type\":\"ping\",\"n\":{}}}", self.ping_n);
-        let mut lost: Vec<usize> = Vec::new();
-        for (&id, conn) in &mut self.conns {
-            if conn.alive && conn.sink.send(&frame).is_err() {
-                lost.push(id);
-            }
-        }
-        for id in lost {
-            self.lose_conn(id, "lost its connection");
-        }
-    }
-
-    fn sweep_deadlines(&mut self) {
-        let now = Instant::now();
-        let timeout = self.cfg.cell_timeout.as_secs_f64();
-        let expired: Vec<usize> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.alive && c.busy.is_some_and(|(_, d)| now >= d))
-            .map(|(&id, _)| id)
-            .collect();
-        for id in expired {
-            self.lose_conn(id, &format!("exceeded the {timeout:.0}s cell deadline (presumed hung)"));
-        }
-    }
-
-    fn sweep_liveness(&mut self) {
-        let deadline = self.cfg.heartbeat * 4;
-        let silent: Vec<usize> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.alive && c.last_seen.elapsed() > deadline)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in silent {
-            self.lose_conn(
-                id,
-                &format!(
-                    "went silent past the {:.1}s liveness deadline (half-open or partitioned)",
-                    deadline.as_secs_f64()
-                ),
-            );
-        }
-    }
-
-    /// Declares connection `id` dead: closes it, and — when a cell was
-    /// in flight — attributes the loss to the peer (feeding the
-    /// quarantine counter) and requeues or degrades the cell.
-    fn lose_conn(&mut self, id: usize, why: &str) {
-        let Some(conn) = self.conns.get_mut(&id) else { return };
-        if !conn.alive {
-            return;
-        }
-        conn.alive = false;
-        conn.sink.close();
-        let name = conn.name.clone();
-        let Some((pos, _)) = conn.busy.take() else { return };
-        eprintln!("dispatch: worker {name} {why}; requeueing its cell");
-        self.summary.workers_lost += 1;
-        self.ledger.record(pos, &format!("worker {name} {why}"));
-        if self.ledger.requeue(pos, self.cfg.retries, &mut self.summary).is_err() {
-            self.ledger.record(pos, "retry budget spent; finishing in-process");
-            eprintln!(
-                "dispatch: cell {} spent its retry budget; degrading to in-process",
-                self.ledger.cells[pos]
-            );
-            self.unfinished.push(pos);
-            self.summary.degraded_cells += 1;
-        }
-        let peer = self.peers.entry(name.clone()).or_default();
-        peer.failures += 1;
-        peer.consecutive += 1;
-        if peer.consecutive >= self.cfg.quarantine_after && !peer.quarantined {
-            peer.quarantined = true;
-            eprintln!(
-                "dispatch: quarantining worker {name} after {} consecutive failures",
-                peer.consecutive
-            );
-            // Close the peer's other connections; their cells go back
-            // uncharged (they never failed there).
-            let same: Vec<usize> = self
-                .conns
-                .iter()
-                .filter(|(&cid, c)| cid != id && c.alive && c.name == name)
-                .map(|(&cid, _)| cid)
-                .collect();
-            for cid in same {
-                if let Some(c) = self.conns.get_mut(&cid) {
-                    let _ = c.sink.send("{\"type\":\"quarantine\"}");
-                    c.sink.close();
-                    c.alive = false;
-                    if let Some((p, _)) = c.busy.take() {
-                        self.ledger.record(p, &format!("reassigned: worker {name} quarantined"));
-                        self.ledger.queue.push_front(p);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Any live connection whose peer is not quarantined?
-    fn has_capacity(&self) -> bool {
-        self.conns.values().any(|c| {
-            c.alive && !self.peers.get(&c.name).is_some_and(|p| p.quarantined)
-        })
-    }
-
-    /// Degrades every queued cell to in-process execution.
-    fn degrade_queue(&mut self, why: &str) {
-        while let Some(pos) = self.ledger.queue.pop_front() {
-            self.ledger.record(pos, &format!("{why}; finishing in-process"));
-            self.unfinished.push(pos);
-            self.summary.degraded_cells += 1;
-        }
-    }
-
-    fn status_doc(&self) -> Json {
-        let workers: Vec<Json> = self
-            .peers
-            .iter()
-            .map(|(name, p)| {
-                let connected =
-                    self.conns.values().any(|c| c.alive && &c.name == name);
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(name.clone())),
-                    (
-                        "state".into(),
-                        Json::Str(
-                            if p.quarantined {
-                                "quarantined"
-                            } else if connected {
-                                "live"
-                            } else {
-                                "lost"
-                            }
-                            .into(),
-                        ),
-                    ),
-                    ("cells_completed".into(), Json::Num(p.cells_completed.to_string())),
-                    ("failures".into(), Json::Num(p.failures.to_string())),
-                    (
-                        "reconnects".into(),
-                        Json::Num(p.connections.saturating_sub(1).to_string()),
-                    ),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(crate::STATUS_SCHEMA.into())),
-            ("cells_total".into(), Json::Num(self.ledger.cells.len().to_string())),
-            ("cells_done".into(), Json::Num(self.ledger.done.to_string())),
-            ("queued".into(), Json::Num(self.ledger.queue.len().to_string())),
-            ("retries".into(), Json::Num(self.summary.retries.to_string())),
-            ("workers".into(), Json::Arr(workers)),
-        ])
-    }
-
-    /// Shuts surviving workers down cleanly and fills the summary's
-    /// per-peer stats.
-    fn finish(&mut self) {
-        for conn in self.conns.values_mut() {
-            if conn.alive {
-                let _ = conn.sink.send("{\"type\":\"shutdown\"}");
-            }
-            conn.sink.close();
-        }
-        self.summary.workers_spawned = self.peers.len();
-        self.summary.quarantined = self.peers.values().filter(|p| p.quarantined).count();
-        self.summary.workers = self
-            .peers
-            .iter()
-            .map(|(name, p)| WorkerStat {
-                name: name.clone(),
-                connected: self.conns.values().any(|c| &c.name == name && c.alive),
-                cells_completed: p.cells_completed,
-                failures: p.failures,
-                reconnects: p.connections.saturating_sub(1),
-                quarantined: p.quarantined,
-            })
-            .collect();
     }
 }
 
 // ----- the remote worker ------------------------------------------------
-
-/// One-shot guard for non-`repeat` network fault injection.
-static NET_FAULT_FIRED: AtomicBool = AtomicBool::new(false);
-
-enum ConnEnd {
-    /// The coordinator sent `shutdown`: the sweep is over.
-    Shutdown,
-    /// The coordinator quarantined this worker.
-    Quarantined,
-    /// Deterministic failure (executor error, protocol violation).
-    Fatal(String),
-    /// The connection died; `inited` records whether the session got as
-    /// far as `init` (which resets the reconnect attempt budget).
-    Lost { inited: bool, reason: String },
-}
 
 /// Runs a remote worker against the coordinator at `addr`, reconnecting
 /// with `backoff` on connection loss, until the coordinator shuts it
@@ -714,65 +110,61 @@ where
     loop {
         let end = match TcpStream::connect(addr) {
             Ok(stream) => serve_connection(&stream, name, fault, &mut execute),
-            Err(e) => ConnEnd::Lost { inited: false, reason: format!("cannot connect: {e}") },
+            Err(e) => End::Lost { inited: false, reason: format!("cannot connect: {e}") },
         };
-        match end {
-            ConnEnd::Shutdown => return 0,
-            ConnEnd::Quarantined => {
+        let (inited, reason) = match end {
+            End::Shutdown => return 0,
+            End::Quarantined => {
                 eprintln!("rix worker {name}: quarantined by the coordinator");
                 return 3;
             }
-            ConnEnd::Fatal(e) => {
+            End::Fatal(e) => {
                 eprintln!("rix worker {name}: {e}");
                 return 1;
             }
-            ConnEnd::Lost { inited, reason } => {
-                if inited {
-                    // A session that reached `init` proves the address
-                    // is real: start the backoff schedule over.
-                    attempt = 0;
-                }
-                let Some(delay) = backoff.delay(attempt) else {
-                    eprintln!(
-                        "rix worker {name}: {reason}; reconnect budget ({}) spent, giving up",
-                        backoff.max_attempts
-                    );
-                    return 2;
-                };
-                eprintln!(
-                    "rix worker {name}: {reason}; reconnecting in {:.2}s (attempt {})",
-                    delay.as_secs_f64(),
-                    attempt + 1
-                );
-                std::thread::sleep(delay);
-                attempt += 1;
-            }
+            End::Closed(inited) => (inited, "coordinator closed the connection".to_string()),
+            End::Lost { inited, reason } => (inited, reason),
+        };
+        if inited {
+            // A session that reached `init` proves the address is real:
+            // start the backoff schedule over.
+            attempt = 0;
         }
+        let Some(delay) = backoff.delay(attempt) else {
+            eprintln!(
+                "rix worker {name}: {reason}; reconnect budget ({}) spent, giving up",
+                backoff.max_attempts
+            );
+            return 2;
+        };
+        eprintln!(
+            "rix worker {name}: {reason}; reconnecting in {:.2}s (attempt {})",
+            delay.as_secs_f64(),
+            attempt + 1
+        );
+        std::thread::sleep(delay);
+        attempt += 1;
     }
 }
 
-/// Serves one coordinator connection to completion.
-fn serve_connection<F>(
+/// Serves one coordinator connection: says hello, then runs the session
+/// loop with a ping thread on the shared socket once `init` names a
+/// heartbeat.
+fn serve_connection(
     stream: &TcpStream,
     name: &str,
     fault: Option<NetFault>,
-    execute: &mut F,
-) -> ConnEnd
-where
-    F: FnMut(&Json, u64) -> Result<Json, String>,
-{
+    execute: &mut dyn FnMut(&Json, u64) -> Result<Json, String>,
+) -> End {
     let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return ConnEnd::Lost { inited: false, reason: "cannot clone the socket".into() };
-    };
-    let Ok(read_half) = stream.try_clone() else {
-        return ConnEnd::Lost { inited: false, reason: "cannot clone the socket".into() };
+    let (Ok(write_half), Ok(read_half)) = (stream.try_clone(), stream.try_clone()) else {
+        return End::Lost { inited: false, reason: "cannot clone the socket".into() };
     };
     let mut sink = TcpSink::new(write_half);
     let mut source = match TcpSource::new(read_half, POLL) {
         Ok(s) => s,
         Err(e) => {
-            return ConnEnd::Lost { inited: false, reason: format!("cannot set read timeout: {e}") };
+            return End::Lost { inited: false, reason: format!("cannot set read timeout: {e}") };
         }
     };
     let hello = format!(
@@ -782,137 +174,22 @@ where
         hello_token()
     );
     if let Err(e) = sink.send(&hello) {
-        return ConnEnd::Lost { inited: false, reason: format!("hello send failed: {e}") };
+        return End::Lost { inited: false, reason: format!("hello send failed: {e}") };
     }
-
-    let mut init: Option<Json> = None;
-    // Until `init` arrives the coordinator owes us a frame promptly;
-    // after it, silence is bounded by the heartbeat liveness deadline.
-    let mut liveness = Duration::from_secs(30);
-    let mut last_seen = Instant::now();
-    let stop_hb = Arc::new(AtomicBool::new(false));
-    let mut actionable: u64 = 0;
-
-    let end = loop {
-        let line = match source.next_line() {
-            Ok(NextLine::Line(line)) => line,
-            Ok(NextLine::Idle) => {
-                if last_seen.elapsed() > liveness {
-                    break ConnEnd::Lost {
-                        inited: init.is_some(),
-                        reason: format!(
-                            "coordinator silent past the {:.1}s liveness deadline",
-                            liveness.as_secs_f64()
-                        ),
-                    };
-                }
-                continue;
-            }
-            Ok(NextLine::Eof) => {
-                break ConnEnd::Lost {
-                    inited: init.is_some(),
-                    reason: "coordinator closed the connection".into(),
-                };
-            }
-            Err(e) => {
-                break ConnEnd::Lost { inited: init.is_some(), reason: format!("read failed: {e}") };
-            }
-        };
-        last_seen = Instant::now();
-        let Ok(msg) = Json::parse(&line) else {
-            break ConnEnd::Fatal(format!("unparsable coordinator frame {line:?}"));
-        };
-        let kind = msg.get("type").and_then(Json::as_str).map(str::to_string);
-        if matches!(kind.as_deref(), Some("init" | "cell" | "shutdown")) {
-            actionable += 1;
-            if let Some(f) = fault {
-                if actionable == f.at && (f.repeat || !NET_FAULT_FIRED.swap(true, Ordering::Relaxed))
-                {
-                    match f.kind {
-                        NetFaultKind::Exit => {
-                            eprintln!("rix worker {name}: injected net-exit at frame {actionable}");
-                            std::process::exit(86);
-                        }
-                        NetFaultKind::Drop => {
-                            eprintln!("rix worker {name}: injected net-drop at frame {actionable}");
-                            stop_hb.store(true, Ordering::Relaxed);
-                            sink.close();
-                            break ConnEnd::Lost {
-                                inited: init.is_some(),
-                                reason: "injected connection drop".into(),
-                            };
-                        }
-                        NetFaultKind::Stall => {
-                            eprintln!("rix worker {name}: injected net-stall at frame {actionable}");
-                            // Half-open: the socket stays up, nothing
-                            // flows either way (heartbeats included) —
-                            // only the coordinator's liveness deadline
-                            // can reclaim the cell.
-                            stop_hb.store(true, Ordering::Relaxed);
-                            loop {
-                                std::thread::sleep(Duration::from_secs(3600));
-                            }
-                        }
-                    }
+    let pinger = sink.clone();
+    let mut start_heartbeat = |interval: Duration, beating: Arc<AtomicBool>| {
+        let mut sink = pinger.clone();
+        std::thread::spawn(move || {
+            for n in 1u64.. {
+                std::thread::sleep(interval);
+                let ping = format!("{{\"type\":\"ping\",\"n\":{n}}}");
+                if !beating.load(Ordering::Relaxed) || sink.send(&ping).is_err() {
+                    break;
                 }
             }
-        }
-        match kind.as_deref() {
-            Some("ping") => {}
-            Some("init") => {
-                if let Err(e) = check_init_schema(&msg) {
-                    break ConnEnd::Fatal(e);
-                }
-                let hb_ms = msg.get("heartbeat_ms").and_then(Json::as_u64).unwrap_or(0);
-                if hb_ms > 0 {
-                    let interval = Duration::from_millis(hb_ms);
-                    liveness = (interval * 4).max(Duration::from_secs(1));
-                    let stop = Arc::clone(&stop_hb);
-                    let mut hb_sink = sink.clone();
-                    std::thread::spawn(move || {
-                        let mut n: u64 = 0;
-                        while !stop.load(Ordering::Relaxed) {
-                            std::thread::sleep(interval);
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            n += 1;
-                            if hb_sink.send(&format!("{{\"type\":\"ping\",\"n\":{n}}}")).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                init = Some(msg);
-            }
-            Some("cell") => {
-                let Some(init_msg) = init.clone() else {
-                    break ConnEnd::Fatal("cell assignment before init".into());
-                };
-                match run_cell(&mut source, &mut sink, &init_msg, &msg, execute) {
-                    Ok(()) => last_seen = Instant::now(),
-                    Err(ServeError::Fatal(e)) => break ConnEnd::Fatal(e),
-                    Err(ServeError::Lost(e)) => {
-                        break ConnEnd::Lost { inited: true, reason: e };
-                    }
-                }
-            }
-            Some("shutdown") => break ConnEnd::Shutdown,
-            Some("quarantine") => break ConnEnd::Quarantined,
-            // A structured rejection (bad token, unsupported schema):
-            // the coordinator will never accept this configuration, so
-            // reconnecting would only loop — treat it as fatal.
-            Some("error") => {
-                let reason = msg
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unspecified coordinator error");
-                break ConnEnd::Fatal(format!("coordinator rejected this worker: {reason}"));
-            }
-            other => break ConnEnd::Fatal(format!("unexpected coordinator frame type {other:?}")),
-        }
+        });
     };
-    stop_hb.store(true, Ordering::Relaxed);
+    let end = session(&mut source, &mut sink, fault, &mut start_heartbeat, execute);
     sink.close();
     end
 }
@@ -975,18 +252,40 @@ pub fn query_status(addr: &str) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader, Write};
+    use crate::pool::{dispatch_cells, PoolConfig, PoolError, PoolSummary, Workers};
+    use std::io::{BufRead, BufReader, Read, Write};
 
     fn plan() -> Json {
         Json::parse(r#"{"note":"net test plan"}"#).unwrap()
+    }
+
+    /// A listening run's results: payloads in cell order (`None` where
+    /// the cell was handed back), the handed-back positions, sorted, and
+    /// the accounting.
+    #[derive(Debug)]
+    struct Served {
+        payloads: Vec<Option<Json>>,
+        unfinished: Vec<usize>,
+        summary: PoolSummary,
+    }
+
+    fn serve(listener: TcpListener, cells: &[u64], cfg: &PoolConfig) -> Result<Served, PoolError> {
+        let mut payloads: Vec<Option<Json>> = vec![None; cells.len()];
+        let out = dispatch_cells(Workers::Listen(listener), &plan(), cells, cfg, |pos, payload| {
+            assert!(payloads[pos].replace(payload).is_none(), "cell {pos} reported twice");
+            Ok(())
+        })?;
+        let mut unfinished: Vec<usize> = out.unfinished.iter().map(|&(pos, _)| pos).collect();
+        unfinished.sort_unstable();
+        Ok(Served { payloads, unfinished, summary: out.summary })
     }
 
     fn echo(_init: &Json, cell: u64) -> Result<Json, String> {
         Json::parse(&format!("{{\"cell\":{cell}}}")).map_err(|e| e.to_string())
     }
 
-    fn fast_cfg() -> NetPoolConfig {
-        NetPoolConfig {
+    fn fast_cfg() -> PoolConfig {
+        PoolConfig {
             cell_timeout: Duration::from_secs(10),
             retries: 2,
             heartbeat: Duration::from_millis(100),
@@ -1024,7 +323,7 @@ mod tests {
             })
             .collect();
         let cells: Vec<u64> = vec![3, 1, 4, 15, 9, 2, 6];
-        let out = serve_cells(listener, &plan(), &cells, None, None, &fast_cfg()).unwrap();
+        let out = serve(listener, &cells, &fast_cfg()).unwrap();
         assert!(out.unfinished.is_empty());
         for (cell, payload) in cells.iter().zip(&out.payloads) {
             let payload = payload.as_ref().expect("filled");
@@ -1050,7 +349,7 @@ mod tests {
                 Err("deterministic failure".into())
             })
         });
-        let err = serve_cells(listener, &plan(), &[0, 1], None, None, &fast_cfg()).unwrap_err();
+        let err = serve(listener, &[0, 1], &fast_cfg()).unwrap_err();
         assert!(err.to_string().contains("deterministic failure"), "{err}");
         assert_eq!(w.join().unwrap(), 1, "executor errors kill the worker");
     }
@@ -1058,9 +357,9 @@ mod tests {
     #[test]
     fn no_workers_degrades_every_cell_after_the_wait() {
         let (listener, _) = listen();
-        let cfg = NetPoolConfig { worker_wait: Duration::from_millis(200), ..fast_cfg() };
+        let cfg = PoolConfig { worker_wait: Duration::from_millis(200), ..fast_cfg() };
         let cells: Vec<u64> = vec![7, 8, 9];
-        let out = serve_cells(listener, &plan(), &cells, None, None, &cfg).unwrap();
+        let out = serve(listener, &cells, &cfg).unwrap();
         assert_eq!(out.unfinished, vec![0, 1, 2], "every cell handed back");
         assert!(out.payloads.iter().all(Option::is_none));
         assert_eq!(out.summary.degraded_cells, 3);
@@ -1070,7 +369,7 @@ mod tests {
     #[test]
     fn token_mismatch_gets_a_structured_rejection() {
         let (listener, addr) = listen();
-        let cfg = NetPoolConfig {
+        let cfg = PoolConfig {
             token: Some("sesame".into()),
             worker_wait: Duration::from_millis(200),
             ..fast_cfg()
@@ -1091,7 +390,7 @@ mod tests {
             reader.read_line(&mut rest).unwrap_or(0);
             (first, rest)
         });
-        let out = serve_cells(listener, &plan(), &[3], None, None, &cfg).unwrap();
+        let out = serve(listener, &[3], &cfg).unwrap();
         let (first, rest) = intruder.join().unwrap();
         let reply = Json::parse(first.trim()).expect("rejection is a JSON frame");
         assert_eq!(reply.get("type").and_then(Json::as_str), Some("error"));
@@ -1107,7 +406,7 @@ mod tests {
     #[test]
     fn matching_token_is_admitted_and_serves_cells() {
         let (listener, addr) = listen();
-        let cfg = NetPoolConfig { token: Some("sesame".into()), ..fast_cfg() };
+        let cfg = PoolConfig { token: Some("sesame".into()), ..fast_cfg() };
         let worker = std::thread::spawn(move || {
             let mut s = TcpStream::connect(&addr).unwrap();
             writeln!(
@@ -1140,7 +439,7 @@ mod tests {
             }
             saw_init
         });
-        let out = serve_cells(listener, &plan(), &[5, 6], None, None, &cfg).unwrap();
+        let out = serve(listener, &[5, 6], &cfg).unwrap();
         assert!(worker.join().unwrap(), "the keyed worker was sent init");
         assert!(out.unfinished.is_empty(), "{:?}", out.summary);
         assert_eq!(
@@ -1184,7 +483,7 @@ mod tests {
             std::thread::spawn(move || connect_worker(&addr, "steady", &fast_backoff(), echo))
         };
         let cells: Vec<u64> = vec![10, 11, 12, 13];
-        let out = serve_cells(listener, &plan(), &cells, None, None, &fast_cfg()).unwrap();
+        let out = serve(listener, &cells, &fast_cfg()).unwrap();
         assert!(out.unfinished.is_empty(), "{:?}", out.summary);
         for (cell, payload) in cells.iter().zip(&out.payloads) {
             assert_eq!(
@@ -1248,9 +547,9 @@ mod tests {
                 })
             })
         };
-        let cfg = NetPoolConfig { quarantine_after: 2, retries: 4, ..fast_cfg() };
+        let cfg = PoolConfig { quarantine_after: 2, retries: 4, ..fast_cfg() };
         let cells: Vec<u64> = vec![20, 21, 22, 23, 24, 25];
-        let out = serve_cells(listener, &plan(), &cells, None, None, &cfg).unwrap();
+        let out = serve(listener, &cells, &cfg).unwrap();
         assert!(out.unfinished.is_empty(), "{:?}", out.summary);
         assert_eq!(out.summary.quarantined, 1, "{:?}", out.summary);
         let b = out.summary.workers.iter().find(|w| w.name == "bad").unwrap();
@@ -1264,56 +563,45 @@ mod tests {
     fn status_hello_is_answered_during_a_run() {
         let (listener, addr) = listen();
         let cells: Vec<u64> = vec![0, 1];
-        let server = {
-            let p = plan();
-            std::thread::spawn(move || serve_cells(listener, &p, &cells, None, None, &fast_cfg()))
-        };
+        let server =
+            std::thread::spawn(move || serve(listener, &cells, &fast_cfg()).map(|o| o.unfinished));
         // Query while the run waits for workers.
         let doc = query_status(&addr).unwrap();
         assert_eq!(doc.req_u64("cells_total").unwrap(), 2);
         assert_eq!(doc.req_u64("cells_done").unwrap(), 0);
         // Now provide a worker so the run can finish.
         let w = std::thread::spawn(move || connect_worker(&addr, "late", &fast_backoff(), echo));
-        let out = server.join().unwrap().unwrap();
-        assert!(out.unfinished.is_empty());
+        let unfinished = server.join().unwrap().unwrap();
+        assert!(unfinished.is_empty());
         assert!(w.join().unwrap() <= 2);
     }
 
     #[test]
-    fn remote_cache_dance_serves_hits_and_collects_stores() {
-        let dir = std::env::temp_dir()
-            .join(format!("rix-net-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).unwrap();
-        let keys: Vec<String> = (0..3).map(|i| ResultCache::key(&format!("cell {i}"))).collect();
-        // Pre-seed one entry: the worker must get it as a hit and skip
-        // execution for that cell.
-        cache.store(&keys[1], &Json::parse(r#"{"cell":101}"#).unwrap()).unwrap();
-
+    fn connections_past_the_cap_are_closed_at_once() {
         let (listener, addr) = listen();
-        let w = std::thread::spawn(move || {
-            connect_worker(&addr, "cached", &fast_backoff(), |_, cell| {
-                assert_ne!(cell, 101, "the pre-seeded cell must not execute");
-                echo(&Json::Null, cell)
-            })
-        });
-        let cells: Vec<u64> = vec![100, 101, 102];
-        let out =
-            serve_cells(listener, &plan(), &cells, Some(&keys), Some(&cache), &fast_cfg())
-                .unwrap();
-        assert!(out.unfinished.is_empty());
-        assert_eq!(out.summary.cache_hits, 1, "{:?}", out.summary);
-        for (cell, payload) in cells.iter().zip(&out.payloads) {
-            assert_eq!(
-                payload.as_ref().and_then(|p| p.get("cell")).and_then(Json::as_u64),
-                Some(*cell)
-            );
-        }
-        // The misses were stored back: every key now loads.
-        for key in &keys {
-            assert!(cache.load(key).is_some(), "store-back missing for {key}");
-        }
-        assert_eq!(w.join().unwrap(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = PoolConfig { worker_wait: Duration::from_secs(30), ..fast_cfg() };
+        let server =
+            std::thread::spawn(move || serve(listener, &[1, 2], &cfg).map(|o| o.unfinished));
+        // A full house of silent peers, each within its hello deadline.
+        let idle: Vec<TcpStream> =
+            (0..MAX_CONNECTIONS).map(|_| TcpStream::connect(&addr).unwrap()).collect();
+        let mut extra = TcpStream::connect(&addr).unwrap();
+        extra.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let started = Instant::now();
+        let refused = match extra.read(&mut [0u8; 16]) {
+            Ok(n) => n == 0,
+            Err(e) => {
+                !matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
+            }
+        };
+        assert!(refused, "one connection past the cap is closed");
+        assert!(started.elapsed() < Duration::from_secs(3), "and at once");
+        // Once the silent peers go, service resumes: a worker gets in
+        // (retrying while their reader threads wind down) and finishes.
+        drop(idle);
+        let patient = Backoff { max_attempts: 40, ..fast_backoff() };
+        let code = connect_worker(&addr, "late", &patient, echo);
+        assert_eq!(code, 0, "the worker was served and shut down cleanly");
+        assert!(server.join().unwrap().unwrap().is_empty(), "every cell finished remotely");
     }
 }

@@ -115,40 +115,67 @@ pub trait LineSource {
     fn next_line(&mut self) -> io::Result<NextLine>;
 }
 
-/// Blocking [`LineSource`] over any reader (stdin, a pipe). Never
-/// returns [`NextLine::Idle`].
-pub struct BlockingSource<R: Read>(BufReader<R>);
-
-impl<R: Read> BlockingSource<R> {
-    /// Wraps `reader`.
-    pub fn new(reader: R) -> Self {
-        Self(BufReader::new(reader))
-    }
-}
-
-impl<R: Read> LineSource for BlockingSource<R> {
-    fn next_line(&mut self) -> io::Result<NextLine> {
-        let mut line = String::new();
-        match self.0.read_line(&mut line)? {
-            0 => Ok(NextLine::Eof),
-            _ => Ok(NextLine::Line(line.trim_end().to_string())),
-        }
-    }
-}
-
-/// The longest frame a [`TcpSource`] accepts, newline excluded. The
+/// The longest frame any [`LineSource`] accepts, newline excluded. The
 /// largest committed plan is about 16 KB and a result payload about
 /// 1 KB, so this leaves three orders of magnitude of headroom while
 /// bounding what a peer can make us buffer (the coordinator reads a
 /// `hello` before checking its token).
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
+/// The one line reader under every [`LineSource`]: reads at most one
+/// byte past [`MAX_FRAME`] into `partial`, which persists across calls
+/// so a frame split across polls is never dropped on a timeout. A
+/// longer frame is released and reads as an
+/// [`io::ErrorKind::InvalidData`] error; a read timeout is an
+/// [`NextLine::Idle`] tick.
+fn read_frame<R: Read>(reader: &mut BufReader<R>, partial: &mut String) -> io::Result<NextLine> {
+    let room = (MAX_FRAME + 1).saturating_sub(partial.len()) as u64;
+    match reader.take(room).read_line(partial) {
+        Ok(0) => Ok(NextLine::Eof),
+        Ok(_) if partial.ends_with('\n') => {
+            partial.truncate(partial.trim_end().len());
+            Ok(NextLine::Line(std::mem::take(partial)))
+        }
+        Ok(_) if partial.len() > MAX_FRAME => {
+            *partial = String::new();
+            Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame exceeds the {MAX_FRAME}-byte cap"),
+            ))
+        }
+        // No newline and under the cap: EOF mid-frame.
+        Ok(_) => Ok(NextLine::Eof),
+        Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+            Ok(NextLine::Idle)
+        }
+        Err(e) => Err(e),
+    }
+}
+
+/// Blocking [`LineSource`] over any reader (stdin, a pipe). Never
+/// returns [`NextLine::Idle`].
+pub struct BlockingSource<R: Read> {
+    reader: BufReader<R>,
+    partial: String,
+}
+
+impl<R: Read> BlockingSource<R> {
+    /// Wraps `reader`.
+    pub fn new(reader: R) -> Self {
+        Self { reader: BufReader::new(reader), partial: String::new() }
+    }
+}
+
+impl<R: Read> LineSource for BlockingSource<R> {
+    fn next_line(&mut self) -> io::Result<NextLine> {
+        read_frame(&mut self.reader, &mut self.partial)
+    }
+}
+
 /// Polling [`LineSource`] over a TCP stream: a read timeout turns a
 /// silent link into periodic [`NextLine::Idle`] ticks so the caller can
-/// enforce a liveness deadline. A frame split across polls accumulates
-/// in a persistent partial buffer — bytes are never dropped on a
-/// timeout. A frame longer than [`MAX_FRAME`] shuts the connection down
-/// and reads as an [`io::ErrorKind::InvalidData`] error.
+/// enforce a liveness deadline. A read error (an oversized frame
+/// included) shuts the connection down.
 pub struct TcpSource {
     reader: BufReader<TcpStream>,
     partial: String,
@@ -164,33 +191,11 @@ impl TcpSource {
 
 impl LineSource for TcpSource {
     fn next_line(&mut self) -> io::Result<NextLine> {
-        // Read at most up to one byte past the cap (the newline).
-        let room = (MAX_FRAME + 1).saturating_sub(self.partial.len()) as u64;
-        match (&mut self.reader).take(room).read_line(&mut self.partial) {
-            Ok(0) => Ok(NextLine::Eof),
-            Ok(_) => {
-                if self.partial.ends_with('\n') {
-                    let line = std::mem::take(&mut self.partial);
-                    Ok(NextLine::Line(line.trim_end().to_string()))
-                } else if self.partial.len() > MAX_FRAME {
-                    let _ = self.reader.get_ref().shutdown(Shutdown::Both);
-                    self.partial = String::new();
-                    Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("frame exceeds the {MAX_FRAME}-byte cap"),
-                    ))
-                } else {
-                    // read_line returned without a newline: EOF mid-frame.
-                    Ok(NextLine::Eof)
-                }
-            }
-            Err(e)
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-            {
-                Ok(NextLine::Idle)
-            }
-            Err(e) => Err(e),
+        let next = read_frame(&mut self.reader, &mut self.partial);
+        if next.is_err() {
+            let _ = self.reader.get_ref().shutdown(Shutdown::Both);
         }
+        next
     }
 }
 
@@ -459,6 +464,19 @@ mod tests {
         assert!(err.to_string().contains("cap"), "{err}");
         assert_eq!(src.partial.capacity(), 0, "the oversized frame is released");
         peer.join().expect("peer");
+    }
+
+    #[test]
+    fn blocking_source_caps_frames() {
+        let mut data = vec![b'x'; MAX_FRAME + 1];
+        data.push(b'\n');
+        let mut src = BlockingSource::new(std::io::Cursor::new(data));
+        match src.next_line() {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}"),
+            Ok(NextLine::Line(l)) => panic!("an oversized frame passed ({} bytes)", l.len()),
+            Ok(_) => panic!("an oversized frame is not EOF or idle"),
+        }
+        assert_eq!(src.partial.capacity(), 0, "the oversized frame is released");
     }
 
     #[test]

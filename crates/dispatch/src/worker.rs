@@ -1,50 +1,49 @@
-//! The worker side: the serve loop shared by both transports.
+//! The worker side: one session loop over a framed channel, entered
+//! over stdio ([`serve`]) or TCP ([`crate::net::connect_worker`]).
 //!
-//! [`serve`] is what a worker process runs after recognising
-//! [`crate::WORKER_ARG`]: it reads protocol messages from stdin line by
-//! line, hands each cell assignment to the caller's executor, and
-//! writes the result (or error) back to stdout. The executor receives
-//! the full `init` message — including the opaque `plan` — on every
-//! call, so it can lazily build whatever per-plan state it needs on the
-//! first cell and reuse it after.
-//!
-//! The cell-handling core ([`run_cell`]) is transport-agnostic and also
-//! drives remote TCP workers (see [`crate::net::connect_worker`]),
-//! including the remote cache dance: when the coordinator's `init`
-//! advertises `"cache":true` and a `cell` frame carries a `key`, the
-//! worker asks the coordinator for the cached payload (`cache_load`)
-//! before executing and publishes fresh results back (`cache_store`) —
-//! so diskless remote hosts still dedup against the coordinator's
-//! cache.
+//! A session reads protocol frames, keeps the `init` message, hands
+//! each cell assignment to the caller's executor, and writes the result
+//! (or error) back. The executor receives the full `init` message —
+//! including the opaque `plan` — on every call, so it can lazily build
+//! whatever per-plan state it needs on the first cell and reuse it
+//! after.
 //!
 //! Results go to the protocol channel; anything the executor prints
 //! must therefore go to std**err**, which passes through to the
 //! coordinator's stderr.
 
-use crate::transport::{BlockingSource, FrameSink, LineSource, NextLine, WriteSink};
+use crate::transport::{
+    BlockingSource, FrameSink, LineSource, NetFault, NetFaultKind, NextLine, WriteSink,
+};
 use rix_isa::json::Json;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long a worker waits for the coordinator to answer a
-/// `cache_load` before declaring the connection lost.
-const CACHE_REPLY_DEADLINE: Duration = Duration::from_secs(10);
+/// One-shot guard for non-`repeat` network fault injection.
+static NET_FAULT_FIRED: AtomicBool = AtomicBool::new(false);
 
-/// How a cell (or the connection serving it) failed, from the worker's
-/// point of view.
-pub enum ServeError {
-    /// The channel died (send failure, EOF, or an unanswered cache
-    /// lookup). Reconnecting may help; the coordinator requeues the
-    /// cell either way.
-    Lost(String),
-    /// A deterministic failure (executor error, protocol violation).
-    /// Already reported to the coordinator where possible; retrying
+/// How a session ended.
+pub(crate) enum End {
+    /// The coordinator closed the channel; `true` once `init` arrived.
+    Closed(bool),
+    /// The coordinator sent `shutdown`: the sweep is over.
+    Shutdown,
+    /// The coordinator quarantined this worker.
+    Quarantined,
+    /// Deterministic failure (executor error, protocol violation),
+    /// already reported to the coordinator where possible; retrying
     /// elsewhere cannot help, so the worker must die non-zero.
     Fatal(String),
+    /// The channel died (send or read failure, liveness expiry, an
+    /// injected drop); `inited` records whether the session got as far
+    /// as `init`.
+    Lost { inited: bool, reason: String },
 }
 
 /// Sends a protocol `error` frame; best-effort (the caller is usually
 /// about to die anyway).
-pub(crate) fn send_error(sink: &mut dyn FrameSink, cell: Option<u64>, msg: &str) {
+fn send_error(sink: &mut dyn FrameSink, cell: Option<u64>, msg: &str) {
     let m = Json::Str(msg.to_string()).dump();
     let line = match cell {
         Some(c) => format!("{{\"type\":\"error\",\"cell\":{c},\"message\":{m}}}"),
@@ -53,140 +52,163 @@ pub(crate) fn send_error(sink: &mut dyn FrameSink, cell: Option<u64>, msg: &str)
     let _ = sink.send(&line);
 }
 
-/// Checks an `init` frame's schema: this build speaks
-/// [`crate::PROTOCOL_SCHEMA`] and still accepts its `/1` subset.
+/// A protocol violation: reported on the channel, fatal to the worker.
+fn fatal(sink: &mut dyn FrameSink, msg: &str) -> End {
+    send_error(sink, None, msg);
+    End::Fatal(msg.to_string())
+}
+
+/// Checks an `init` or `hello` frame's schema: this build speaks
+/// exactly [`crate::PROTOCOL_SCHEMA`].
 pub(crate) fn check_init_schema(msg: &Json) -> Result<(), String> {
     match msg.get("schema").and_then(Json::as_str) {
-        Some(crate::PROTOCOL_SCHEMA | crate::PROTOCOL_SCHEMA_V1) => Ok(()),
+        Some(crate::PROTOCOL_SCHEMA) => Ok(()),
         other => Err(format!(
-            "unsupported protocol schema {other:?} (this build speaks {} and accepts {})",
-            crate::PROTOCOL_SCHEMA,
-            crate::PROTOCOL_SCHEMA_V1
+            "unsupported protocol schema {other:?} (this build speaks {})",
+            crate::PROTOCOL_SCHEMA
         )),
     }
 }
 
-/// Handles one `cell` frame: consult the coordinator's cache when the
-/// session advertises one, execute on a miss, publish the payload.
+/// Serves one coordinator channel until it ends.
 ///
-/// The cache protocol is strictly request/response from the worker's
-/// side — `cache_load` is answered by `cache_hit` or `cache_miss`
-/// (heartbeat `ping`s may interleave and are ignored); a reply that
-/// takes longer than [`CACHE_REPLY_DEADLINE`] means the link is dead.
-pub(crate) fn run_cell(
+/// Until `init` arrives the coordinator owes us a frame within 30 s;
+/// after an `init` with a non-zero `heartbeat_ms`, silence is bounded by
+/// four heartbeats, and `start_heartbeat` is called once with the
+/// interval and a flag that stays set while the pings should keep
+/// flowing (a blocking stdio source never idles, and a stdio `init`
+/// names no heartbeat, so neither applies there). `fault` fires at its
+/// `at`-th actionable frame (`init`, `cell` or `shutdown`).
+pub(crate) fn session(
     source: &mut dyn LineSource,
     sink: &mut dyn FrameSink,
-    init: &Json,
-    msg: &Json,
+    fault: Option<NetFault>,
+    start_heartbeat: &mut dyn FnMut(Duration, Arc<AtomicBool>),
     execute: &mut dyn FnMut(&Json, u64) -> Result<Json, String>,
-) -> Result<(), ServeError> {
-    let cell = msg
-        .req_u64("cell")
-        .map_err(|e| ServeError::Fatal(format!("bad cell frame: {e}")))?;
-    let cached_session = init.get("cache").and_then(Json::as_bool) == Some(true);
-    let key = msg.get("key").and_then(Json::as_str).map(str::to_string);
-    if cached_session {
-        if let Some(key) = &key {
-            let kj = Json::Str(key.clone()).dump();
-            sink.send(&format!("{{\"type\":\"cache_load\",\"key\":{kj}}}"))
-                .map_err(|e| ServeError::Lost(format!("cache_load send failed: {e}")))?;
-            match await_cache_reply(source, key)? {
-                Some(payload) => {
-                    sink.send(&format!(
-                        "{{\"type\":\"result\",\"cell\":{cell},\"cached\":true,\"payload\":{}}}",
-                        payload.dump()
-                    ))
-                    .map_err(|e| ServeError::Lost(format!("result send failed: {e}")))?;
-                    return Ok(());
-                }
-                None => {
-                    let payload = execute_cell(sink, init, cell, execute)?;
-                    sink.send(&format!(
-                        "{{\"type\":\"cache_store\",\"key\":{kj},\"payload\":{}}}",
-                        payload.dump()
-                    ))
-                    .map_err(|e| ServeError::Lost(format!("cache_store send failed: {e}")))?;
-                    return send_result(sink, cell, &payload);
+) -> End {
+    let beating = Arc::new(AtomicBool::new(true));
+    let end = session_loop(source, sink, fault, &beating, start_heartbeat, execute);
+    beating.store(false, Ordering::Relaxed);
+    end
+}
+
+fn session_loop(
+    source: &mut dyn LineSource,
+    sink: &mut dyn FrameSink,
+    fault: Option<NetFault>,
+    beating: &Arc<AtomicBool>,
+    start_heartbeat: &mut dyn FnMut(Duration, Arc<AtomicBool>),
+    execute: &mut dyn FnMut(&Json, u64) -> Result<Json, String>,
+) -> End {
+    let mut init: Option<Json> = None;
+    let mut liveness = Duration::from_secs(30);
+    let mut last_seen = Instant::now();
+    let mut actionable: u64 = 0;
+    loop {
+        let line = match source.next_line() {
+            Ok(NextLine::Line(line)) => line,
+            Ok(NextLine::Idle) if last_seen.elapsed() <= liveness => continue,
+            Ok(NextLine::Idle) => {
+                let reason = format!(
+                    "coordinator silent past the {:.1}s liveness deadline",
+                    liveness.as_secs_f64()
+                );
+                return End::Lost { inited: init.is_some(), reason };
+            }
+            Ok(NextLine::Eof) => return End::Closed(init.is_some()),
+            Err(e) => {
+                return End::Lost { inited: init.is_some(), reason: format!("read failed: {e}") };
+            }
+        };
+        last_seen = Instant::now();
+        if line.is_empty() {
+            continue;
+        }
+        let msg = match Json::parse(&line) {
+            Ok(m) => m,
+            Err(e) => return fatal(sink, &format!("unparsable coordinator frame {line:?}: {e}")),
+        };
+        let kind = msg.get("type").and_then(Json::as_str).map(str::to_string);
+        if matches!(kind.as_deref(), Some("init" | "cell" | "shutdown")) {
+            actionable += 1;
+            let fires = |f: &NetFault| {
+                f.at == actionable && (f.repeat || !NET_FAULT_FIRED.swap(true, Ordering::Relaxed))
+            };
+            if let Some(f) = fault.filter(fires) {
+                eprintln!("rix worker: injected {:?} at frame {actionable}", f.kind);
+                match f.kind {
+                    NetFaultKind::Exit => std::process::exit(86),
+                    NetFaultKind::Drop => {
+                        let reason = "injected connection drop".to_string();
+                        return End::Lost { inited: init.is_some(), reason };
+                    }
+                    NetFaultKind::Stall => {
+                        // Half-open: the channel stays up, nothing flows
+                        // either way (heartbeats included) — only the
+                        // coordinator's liveness deadline can reclaim
+                        // the cell.
+                        beating.store(false, Ordering::Relaxed);
+                        loop {
+                            std::thread::sleep(Duration::from_secs(3600));
+                        }
+                    }
                 }
             }
         }
-    }
-    let payload = execute_cell(sink, init, cell, execute)?;
-    send_result(sink, cell, &payload)
-}
-
-fn send_result(sink: &mut dyn FrameSink, cell: u64, payload: &Json) -> Result<(), ServeError> {
-    sink.send(&format!(
-        "{{\"type\":\"result\",\"cell\":{cell},\"payload\":{}}}",
-        payload.dump()
-    ))
-    .map_err(|e| ServeError::Lost(format!("result send failed: {e}")))
-}
-
-fn execute_cell(
-    sink: &mut dyn FrameSink,
-    init: &Json,
-    cell: u64,
-    execute: &mut dyn FnMut(&Json, u64) -> Result<Json, String>,
-) -> Result<Json, ServeError> {
-    execute(init, cell).map_err(|e| {
-        let msg = format!("cell {cell}: {e}");
-        send_error(sink, Some(cell), &e);
-        ServeError::Fatal(msg)
-    })
-}
-
-/// Waits for the `cache_hit`/`cache_miss` answering a `cache_load`,
-/// ignoring interleaved heartbeats.
-fn await_cache_reply(
-    source: &mut dyn LineSource,
-    key: &str,
-) -> Result<Option<Json>, ServeError> {
-    let deadline = Instant::now() + CACHE_REPLY_DEADLINE;
-    loop {
-        match source.next_line() {
-            Ok(NextLine::Line(line)) => {
-                let msg = Json::parse(&line).map_err(|e| {
-                    ServeError::Fatal(format!("unparsable cache reply {line:?}: {e}"))
-                })?;
-                match msg.get("type").and_then(Json::as_str) {
-                    Some("ping") => {}
-                    Some("cache_hit") if msg.get("key").and_then(Json::as_str) == Some(key) => {
-                        let payload = msg
-                            .req("payload")
-                            .map_err(|e| ServeError::Fatal(format!("cache_hit: {e}")))?
-                            .clone();
-                        return Ok(Some(payload));
-                    }
-                    Some("cache_miss") if msg.get("key").and_then(Json::as_str) == Some(key) => {
-                        return Ok(None);
-                    }
-                    other => {
-                        return Err(ServeError::Fatal(format!(
-                            "expected a cache reply for {key}, got {other:?}"
-                        )));
-                    }
+        match kind.as_deref() {
+            Some("ping") => {}
+            Some("init") => {
+                if let Err(e) = check_init_schema(&msg) {
+                    return fatal(sink, &e);
                 }
-            }
-            Ok(NextLine::Idle) => {
-                if Instant::now() >= deadline {
-                    return Err(ServeError::Lost(format!(
-                        "cache_load for {key} unanswered for {}s",
-                        CACHE_REPLY_DEADLINE.as_secs()
-                    )));
+                let hb_ms = msg.get("heartbeat_ms").and_then(Json::as_u64).unwrap_or(0);
+                if hb_ms > 0 {
+                    let interval = Duration::from_millis(hb_ms);
+                    liveness = (interval * 4).max(Duration::from_secs(1));
+                    start_heartbeat(interval, Arc::clone(beating));
                 }
+                init = Some(msg);
             }
-            Ok(NextLine::Eof) => {
-                return Err(ServeError::Lost("connection closed awaiting cache reply".into()));
+            Some("cell") => {
+                let Some(init) = &init else { return fatal(sink, "cell assignment before init") };
+                let cell = match msg.req_u64("cell") {
+                    Ok(cell) => cell,
+                    Err(e) => return fatal(sink, &format!("bad cell frame: {e}")),
+                };
+                let payload = match execute(init, cell) {
+                    Ok(payload) => payload,
+                    Err(e) => {
+                        send_error(sink, Some(cell), &e);
+                        return End::Fatal(format!("cell {cell}: {e}"));
+                    }
+                };
+                let frame = format!(
+                    "{{\"type\":\"result\",\"cell\":{cell},\"payload\":{}}}",
+                    payload.dump()
+                );
+                if let Err(e) = sink.send(&frame) {
+                    return End::Lost { inited: true, reason: format!("result send failed: {e}") };
+                }
+                last_seen = Instant::now();
             }
-            Err(e) => return Err(ServeError::Lost(format!("read failed awaiting cache reply: {e}"))),
+            Some("shutdown") => return End::Shutdown,
+            Some("quarantine") => return End::Quarantined,
+            // A structured rejection (bad token, unsupported schema):
+            // the coordinator will never accept this configuration, so
+            // reconnecting would only loop — treat it as fatal.
+            Some("error") => {
+                let reason =
+                    msg.get("message").and_then(Json::as_str).unwrap_or("unspecified error");
+                return End::Fatal(format!("coordinator rejected this worker: {reason}"));
+            }
+            other => return fatal(sink, &format!("unexpected coordinator frame type {other:?}")),
         }
     }
 }
 
 /// Serves cell assignments over stdio until the coordinator closes
-/// stdin, then exits the process (status 0 on a clean close, 1 on a
-/// protocol or executor error).
+/// stdin, then exits the process (status 0 on a clean close or
+/// `shutdown`, 1 on a protocol, channel or executor error).
 ///
 /// `execute` maps (the `init` message, a cell id) to a result payload;
 /// its `Err` is reported to the coordinator and ends the worker —
@@ -198,59 +220,15 @@ where
 {
     let mut source = BlockingSource::new(std::io::stdin().lock());
     let mut sink = WriteSink::new(std::io::stdout().lock());
-    let mut init: Option<Json> = None;
-    loop {
-        let line = match source.next_line() {
-            Ok(NextLine::Line(line)) => line,
-            Ok(NextLine::Eof) => std::process::exit(0),
-            Ok(NextLine::Idle) => continue,
-            Err(_) => protocol_exit(&mut sink, "cannot read stdin"),
-        };
-        if line.is_empty() {
-            continue;
+    let code = match session(&mut source, &mut sink, None, &mut |_, _| {}, &mut execute) {
+        End::Closed(_) | End::Shutdown => 0,
+        End::Quarantined => 3,
+        End::Fatal(e) | End::Lost { reason: e, .. } => {
+            eprintln!("rix worker: {e}");
+            1
         }
-        let msg = match Json::parse(&line) {
-            Ok(m) => m,
-            Err(e) => protocol_exit(&mut sink, &format!("unparsable message {line:?}: {e}")),
-        };
-        match msg.get("type").and_then(Json::as_str) {
-            Some("init") => {
-                if let Err(e) = check_init_schema(&msg) {
-                    protocol_exit(&mut sink, &e);
-                }
-                init = Some(msg);
-            }
-            Some("cell") => {
-                let Some(init_msg) = init.clone() else {
-                    protocol_exit(&mut sink, "cell assignment before init");
-                };
-                match run_cell(&mut source, &mut sink, &init_msg, &msg, &mut execute) {
-                    Ok(()) => {}
-                    Err(ServeError::Fatal(e) | ServeError::Lost(e)) => {
-                        // Over pipes a "lost" channel means the
-                        // coordinator is gone; either way this process
-                        // is done.
-                        eprintln!("rix worker: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            // A `shutdown` over stdio is redundant with closing stdin
-            // but accepted for symmetry with the socket transport.
-            Some("shutdown") => std::process::exit(0),
-            Some("ping") => {}
-            other => protocol_exit(&mut sink, &format!("unexpected message type {other:?}")),
-        }
-    }
-}
-
-fn protocol_exit(sink: &mut dyn FrameSink, msg: &str) -> ! {
-    // A malformed coordinator message is unrecoverable: report on both
-    // channels (the error frame for the coordinator, stderr for humans)
-    // and die. The coordinator treats the explicit error as fatal.
-    send_error(sink, None, msg);
-    eprintln!("rix worker: {msg}");
-    std::process::exit(1);
+    };
+    std::process::exit(code)
 }
 
 #[cfg(test)]
@@ -258,8 +236,8 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
-    // `serve` never returns, so unit tests drive `run_cell` directly
-    // with in-memory channels (the pool tests exercise the stdio loop
+    // `serve` never returns, so unit tests drive `session` directly
+    // with in-memory channels (the pool tests exercise the stdio entry
     // end to end via stand-in workers, and `crates/bench` drives the
     // real binary).
 
@@ -280,16 +258,26 @@ mod tests {
         Json::parse(text).unwrap()
     }
 
+    /// Runs one session over the scripted coordinator `frames`.
+    fn run(
+        frames: &str,
+        execute: &mut dyn FnMut(&Json, u64) -> Result<Json, String>,
+    ) -> (End, Vec<String>) {
+        let mut source = BlockingSource::new(Cursor::new(frames.as_bytes().to_vec()));
+        let mut sink = VecSink(Vec::new());
+        let end = session(&mut source, &mut sink, None, &mut |_, _| {}, execute);
+        (end, sink.0)
+    }
+
+    const INIT: &str = "{\"type\":\"init\",\"schema\":\"rix-dispatch/2\",\"worker\":0}\n";
+
     #[test]
     fn uncached_cell_executes_and_emits_one_result() {
-        let init = cell_msg(r#"{"type":"init","schema":"rix-dispatch/2","cache":false}"#);
-        let msg = cell_msg(r#"{"type":"cell","cell":21}"#);
-        let mut source = BlockingSource::new(Cursor::new(Vec::new()));
-        let mut sink = VecSink(Vec::new());
-        run_cell(&mut source, &mut sink, &init, &msg, &mut exec_double)
-            .unwrap_or_else(|_| panic!("run_cell failed"));
-        assert_eq!(sink.0.len(), 1);
-        let out = Json::parse(&sink.0[0]).unwrap();
+        let frames = format!("{INIT}{{\"type\":\"cell\",\"cell\":21}}\n");
+        let (end, sent) = run(&frames, &mut exec_double);
+        assert!(matches!(end, End::Closed(true)), "EOF after init is a clean close");
+        assert_eq!(sent.len(), 1);
+        let out = Json::parse(&sent[0]).unwrap();
         assert_eq!(out.get("type").and_then(Json::as_str), Some("result"));
         assert_eq!(out.get("cell").and_then(Json::as_u64), Some(21));
         assert!(out.get("cached").is_none());
@@ -300,68 +288,39 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_skips_execution_and_marks_the_result() {
-        let init = cell_msg(r#"{"type":"init","schema":"rix-dispatch/2","cache":true}"#);
-        let msg = cell_msg(r#"{"type":"cell","cell":3,"key":"k3"}"#);
-        // Scripted coordinator: a ping interleaves, then the hit.
-        let replies = b"{\"type\":\"ping\",\"n\":1}\n{\"type\":\"cache_hit\",\"key\":\"k3\",\"payload\":{\"from\":\"cache\"}}\n".to_vec();
-        let mut source = BlockingSource::new(Cursor::new(replies));
-        let mut sink = VecSink(Vec::new());
-        let mut never = |_: &Json, _: u64| -> Result<Json, String> {
-            panic!("a cache hit must not execute")
-        };
-        run_cell(&mut source, &mut sink, &init, &msg, &mut never)
-            .unwrap_or_else(|_| panic!("run_cell failed"));
-        assert_eq!(sink.0.len(), 2, "cache_load then result: {:?}", sink.0);
-        assert!(sink.0[0].contains("cache_load"));
-        let out = Json::parse(&sink.0[1]).unwrap();
-        assert_eq!(out.get("cached").and_then(Json::as_bool), Some(true));
-        assert_eq!(
-            out.req("payload").unwrap().get("from").and_then(Json::as_str),
-            Some("cache")
-        );
-    }
-
-    #[test]
-    fn cache_miss_executes_then_stores_then_reports() {
-        let init = cell_msg(r#"{"type":"init","schema":"rix-dispatch/2","cache":true}"#);
-        let msg = cell_msg(r#"{"type":"cell","cell":5,"key":"k5"}"#);
-        let replies = b"{\"type\":\"cache_miss\",\"key\":\"k5\"}\n".to_vec();
-        let mut source = BlockingSource::new(Cursor::new(replies));
-        let mut sink = VecSink(Vec::new());
-        run_cell(&mut source, &mut sink, &init, &msg, &mut exec_double)
-            .unwrap_or_else(|_| panic!("run_cell failed"));
-        assert_eq!(sink.0.len(), 3, "cache_load, cache_store, result: {:?}", sink.0);
-        assert!(sink.0[0].contains("cache_load"));
-        assert!(sink.0[1].contains("cache_store") && sink.0[1].contains("\"doubled\":10"));
-        let out = Json::parse(&sink.0[2]).unwrap();
-        assert_eq!(out.get("cell").and_then(Json::as_u64), Some(5));
-        assert!(out.get("cached").is_none(), "a fresh result is not marked cached");
-    }
-
-    #[test]
     fn executor_error_is_fatal_and_reported() {
-        let init = cell_msg(r#"{"type":"init","schema":"rix-dispatch/2","cache":false}"#);
-        let msg = cell_msg(r#"{"type":"cell","cell":9}"#);
-        let mut source = BlockingSource::new(Cursor::new(Vec::new()));
-        let mut sink = VecSink(Vec::new());
         let mut boom =
             |_: &Json, _: u64| -> Result<Json, String> { Err("deterministic failure".into()) };
-        match run_cell(&mut source, &mut sink, &init, &msg, &mut boom) {
-            Err(ServeError::Fatal(e)) => assert!(e.contains("deterministic failure"), "{e}"),
+        match run(&format!("{INIT}{{\"type\":\"cell\",\"cell\":9}}\n"), &mut boom) {
+            (End::Fatal(e), sent) => {
+                assert!(e.contains("deterministic failure"), "{e}");
+                let out = Json::parse(&sent[0]).unwrap();
+                assert_eq!(out.get("type").and_then(Json::as_str), Some("error"));
+                assert_eq!(out.get("cell").and_then(Json::as_u64), Some(9));
+            }
             _ => panic!("executor errors must be fatal"),
         }
-        let out = Json::parse(&sink.0[0]).unwrap();
-        assert_eq!(out.get("type").and_then(Json::as_str), Some("error"));
-        assert_eq!(out.get("cell").and_then(Json::as_u64), Some(9));
     }
 
     #[test]
-    fn init_schema_check_accepts_both_versions() {
-        for ok in [r#"{"schema":"rix-dispatch/2"}"#, r#"{"schema":"rix-dispatch/1"}"#] {
-            assert!(check_init_schema(&cell_msg(ok)).is_ok(), "{ok}");
+    fn protocol_violations_are_reported_and_fatal() {
+        let before_init = "{\"type\":\"cell\",\"cell\":1}\n";
+        for frames in [before_init, "not json\n", "{\"type\":\"bogus\"}\n"] {
+            let (end, sent) = run(frames, &mut exec_double);
+            assert!(matches!(end, End::Fatal(_)), "{frames:?} must be fatal");
+            assert_eq!(sent.len(), 1, "{frames:?}: one error frame");
+            assert!(sent[0].contains("\"type\":\"error\""), "{sent:?}");
         }
-        let err = check_init_schema(&cell_msg(r#"{"schema":"rix-dispatch/0"}"#)).unwrap_err();
-        assert!(err.contains("unsupported protocol schema"), "{err}");
+        let (end, _) = run(&format!("{INIT}{{\"type\":\"shutdown\"}}\n"), &mut exec_double);
+        assert!(matches!(end, End::Shutdown));
+    }
+
+    #[test]
+    fn init_schema_check_accepts_only_this_version() {
+        assert!(check_init_schema(&cell_msg(r#"{"schema":"rix-dispatch/2"}"#)).is_ok());
+        for old in [r#"{"schema":"rix-dispatch/1"}"#, r#"{"schema":"rix-dispatch/0"}"#, "{}"] {
+            let err = check_init_schema(&cell_msg(old)).unwrap_err();
+            assert!(err.contains("unsupported protocol schema"), "{old}: {err}");
+        }
     }
 }

@@ -101,6 +101,7 @@ fn status_text(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         409 => "Conflict",
         429 => "Too Many Requests",
+        503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
 }

@@ -25,11 +25,18 @@ use crate::store::{progress_json, RunRecord, RunState, RunStore};
 use crate::{Engine, Progress, SCHEMA};
 use rix_isa::json::Json;
 use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::Read;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Connection threads a server runs at once (twice the default
+/// `queue_cap`). Past it, a new connection is answered `503` on the
+/// accept thread and closed, so a flood of slow clients cannot grow the
+/// thread count without bound.
+const MAX_CONNECTIONS: usize = 128;
 
 /// Service tuning (the listen address is a separate [`Server::bind`]
 /// argument).
@@ -139,11 +146,8 @@ impl Server {
 
     /// Serves forever on the calling thread (the CLI entry point).
     pub fn run(self) -> ! {
-        for stream in self.listener.incoming().flatten() {
-            let inner = Arc::clone(&self.inner);
-            std::thread::spawn(move || handle_connection(&inner, stream));
-        }
-        unreachable!("TcpListener::incoming never returns None")
+        accept_loop(&self.listener, &self.inner);
+        unreachable!("only a ServerHandle stops the accept loop")
     }
 
     /// Serves on a background thread and returns a handle that can
@@ -153,17 +157,7 @@ impl Server {
         let inner = Arc::clone(&self.inner);
         let addr = self.addr;
         let listener = self.listener;
-        let accept = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if inner.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                if let Ok(stream) = conn {
-                    let inner = Arc::clone(&inner);
-                    std::thread::spawn(move || handle_connection(&inner, stream));
-                }
-            }
-        });
+        let accept = std::thread::spawn(move || accept_loop(&listener, &inner));
         ServerHandle { addr, inner: self.inner, accept: Some(accept), executors: self.executors }
     }
 }
@@ -264,6 +258,55 @@ fn run_one(inner: &Inner, id: &str) {
     }
     if let Err(e) = inner.store.save_run(run) {
         eprintln!("serve-api: cannot persist run {id}: {e}");
+    }
+}
+
+// ----- connections ------------------------------------------------------
+
+/// Accepts connections until the server is stopped, one thread per
+/// connection while fewer than [`MAX_CONNECTIONS`] are live.
+fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
+    /// One live connection thread; the count drops when it ends, however
+    /// it ends.
+    struct Live(Arc<AtomicUsize>);
+    impl Drop for Live {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+    let live = Arc::new(AtomicUsize::new(0));
+    for conn in listener.incoming() {
+        if inner.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(stream) = conn else { continue };
+        if live.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+            refuse(stream);
+            continue;
+        }
+        live.fetch_add(1, Ordering::SeqCst);
+        let (inner, slot) = (Arc::clone(inner), Live(Arc::clone(&live)));
+        std::thread::spawn(move || {
+            let _slot = slot;
+            handle_connection(&inner, stream);
+        });
+    }
+}
+
+/// Answers a connection past the cap without a thread: a `503`, then
+/// whatever the peer has already sent is read without waiting (closing
+/// on unread input resets the connection, which can destroy the reply).
+fn refuse(mut stream: TcpStream) {
+    let body = error_body(&format!("server busy: {MAX_CONNECTIONS} connections open; retry"));
+    let _ = write_response(&mut stream, 503, &body);
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_nonblocking(true).is_ok() {
+        let mut buf = [0u8; 8192];
+        for _ in 0..8 {
+            if !matches!(stream.read(&mut buf), Ok(n) if n > 0) {
+                break;
+            }
+        }
     }
 }
 
@@ -545,6 +588,37 @@ mod tests {
             }
         }
         panic!("run {id} never finished");
+    }
+
+    #[test]
+    fn connections_past_the_cap_get_503_until_they_close() {
+        let dir = scratch("conn-cap");
+        let handle = serve(&dir, 1, 16, None, &MockEngine::new(0));
+        let addr = handle.addr().to_string();
+        // A full house of silent clients, each within its read deadline.
+        let idle: Vec<TcpStream> =
+            (0..MAX_CONNECTIONS).map(|_| TcpStream::connect(&addr).unwrap()).collect();
+        let started = std::time::Instant::now();
+        let (code, body) = get(&addr, "/v1/runs");
+        assert_eq!(code, 503, "{body}");
+        assert!(started.elapsed() < Duration::from_secs(3), "refused at once");
+        let err = Json::parse(&body).unwrap();
+        assert_eq!(err.get("schema").and_then(Json::as_str), Some(SCHEMA));
+        assert!(err.get("error").and_then(Json::as_str).unwrap_or("").contains("busy"), "{body}");
+        // Once they close, their threads wind down and service resumes.
+        drop(idle);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let (code, body) = get(&addr, "/v1/runs");
+            if code == 200 {
+                break;
+            }
+            assert_eq!(code, 503, "{body}");
+            assert!(std::time::Instant::now() < deadline, "service never resumed");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        handle.stop();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

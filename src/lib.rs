@@ -230,7 +230,7 @@
 //! ```
 //!
 //! The coordinator re-execs its own binary as workers, streams cell
-//! assignments over stdio (schema `rix-dispatch/1`), detects dead or
+//! assignments over stdio (schema `rix-dispatch/2`), detects dead or
 //! hung workers and retries their cells on survivors — and the merged
 //! trials are **byte-identical** to a single-process run for any worker
 //! count, fault history, or cache state, so `--workers`/`--cache` are
