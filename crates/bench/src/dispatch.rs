@@ -10,10 +10,14 @@
 //! [`crate::WarmupMode::Checkpoint`], or running the one functional
 //! fast-forward), and `run_cell` measures one (row, arm) cell. In
 //! process, `run_cells` is the only executor: [`crate::Sweep::try_run`]
-//! calls it for the whole grid on the sweep's threads, and a distributed
-//! run calls it for its cache misses, or for a served run's degraded
-//! tail, on one thread (see `IN_PROCESS_THREADS` for why). Those cells
-//! never touch JSON until a result is stored in the cache.
+//! calls it for the whole grid, and a distributed run calls it for its
+//! cache misses, or for a served run's degraded tail — always on the
+//! sweep's [`crate::Sweep::threads`]. Those cells never touch JSON until
+//! a result is stored in the cache. The extra threads stay inside the
+//! memory budget because `run_cells` pins glibc's mmap and trim
+//! thresholds once per process: on a 2-vCPU Xeon, a two-thread
+//! serve-api benchmark peaked at 17–18 MiB with the thresholds pinned
+//! and at 21–22 MiB without (about 16 MiB on one thread).
 //!
 //! Worker processes get the sweep as a `rix-dispatch-plan/1` document
 //! (benchmark names, labelled configs as full canonical JSON, budgets,
@@ -553,15 +557,6 @@ fn checkpoint_hashes(sweep: &Sweep) -> Result<Vec<Option<String>>, String> {
 
 // ----- the coordinator --------------------------------------------------
 
-/// Threads for every in-process execution inside a distributed run (the
-/// cache path, serve-api's runs, a served run's degraded tail), whatever
-/// [`Sweep::threads`] says. On a 2-vCPU Xeon, two threads cut the cold
-/// latency of a serve-api fig4 run by about 40%, but raised the
-/// process's peak RSS by about 60% (17.4 to 27.5 MiB, through glibc's
-/// per-thread malloc arenas); honouring `--threads` here needs a memory
-/// plan first.
-const IN_PROCESS_THREADS: usize = 1;
-
 /// Runs `sweep` under `opts`: consult the cache, simulate the misses
 /// (in this process, in spawned worker processes, or on remote workers),
 /// store each fresh result as it arrives, and return the full trial
@@ -628,10 +623,8 @@ pub(crate) fn run_sweep_distributed(
     };
     let pool = match workers {
         Some(workers) => run_pool(sweep, opts, workers, &misses, &mut finish)?,
-        // One thread whatever `sweep.threads` says: the peak-RSS cost of
-        // more is given at `IN_PROCESS_THREADS`.
         None => {
-            sweep.run_cells(&misses, IN_PROCESS_THREADS, |i, t| finish(i, t, false))?;
+            sweep.run_cells(&misses, sweep.threads, |i, t| finish(i, t, false))?;
             PoolSummary::default()
         }
     };
@@ -676,7 +669,7 @@ fn run_pool(
     if !tail.is_empty() {
         eprintln!("dispatch: finishing {} degraded cell(s) in-process", tail.len());
     }
-    sweep.run_cells(&tail, IN_PROCESS_THREADS, |i, t| finish(i, t, true))?;
+    sweep.run_cells(&tail, sweep.threads, |i, t| finish(i, t, true))?;
     Ok(outcome.summary)
 }
 
@@ -859,6 +852,19 @@ mod tests {
         dir
     }
 
+    /// Every file in `dir` as (name, bytes), in name order.
+    fn dir_contents(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("cache dir")
+            .map(|e| {
+                let e = e.expect("dir entry");
+                (e.file_name(), std::fs::read(e.path()).expect("entry reads"))
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
     #[test]
     fn every_executor_matches_across_warmup_modes() {
         let dir = scratch_dir("modes");
@@ -885,15 +891,30 @@ mod tests {
             let three = sweep.clone().threads(3).try_run().expect("3 threads");
             assert_eq!(json(&three), reference, "{name}: try_run at 3 threads");
 
-            let (plain, _) = sweep.run_distributed(&DispatchOptions::default()).expect("plain");
-            assert_eq!(json(&plain), reference, "{name}: run_distributed, no cache");
-            let cache = dir.join(format!("cache-{m}")).to_str().expect("utf-8").to_string();
-            let opts = DispatchOptions { cache: Some(cache), ..DispatchOptions::default() };
-            for (state, hits) in [("cold", 0), ("warm", 4)] {
-                let (trials, report) = sweep.run_distributed(&opts).expect("cached run");
-                assert_eq!(report.cache_hits, hits, "{name}: {state} cache hits");
-                assert_eq!(json(&trials), reference, "{name}: run_distributed, {state} cache");
+            // `run_distributed` with no, a cold and a warm cache, each on
+            // 1, 2 and 3 threads; the cold cache directories it writes
+            // are byte-identical whatever the thread count.
+            let mut written = Vec::new();
+            for threads in [1, 2, 3] {
+                let sweep = sweep.clone().threads(threads);
+                let what = format!("{name}: run_distributed on {threads} thread(s)");
+                let (plain, _) = sweep.run_distributed(&DispatchOptions::default()).expect("plain");
+                assert_eq!(json(&plain), reference, "{what}, no cache");
+                let cache = dir.join(format!("cache-{m}-{threads}"));
+                let opts = DispatchOptions {
+                    cache: Some(cache.to_str().expect("utf-8").to_string()),
+                    ..DispatchOptions::default()
+                };
+                for (state, hits) in [("cold", 0), ("warm", 4)] {
+                    let (trials, report) = sweep.run_distributed(&opts).expect("cached run");
+                    assert_eq!(report.cache_hits, hits, "{what}, {state} cache hits");
+                    assert_eq!(json(&trials), reference, "{what}, {state} cache");
+                }
+                written.push(dir_contents(&cache));
             }
+            assert_eq!(written[0].len(), 4, "{name}: one entry per cell");
+            assert_eq!(written[1], written[0], "{name}: cache written on 2 threads");
+            assert_eq!(written[2], written[0], "{name}: cache written on 3 threads");
 
             // The worker executor, fed the plan's wire round trip.
             let init = Json::Obj(vec![

@@ -8,7 +8,6 @@
 //! | `fig5` | Figure 5 — integration-stream breakdowns: Type, Distance, Status, Refcount |
 //! | `fig6` | Figure 6 — IT associativity (1/2/4/full) and size (64/256/1K/4K) sweeps |
 //! | `fig7` | Figure 7 — reduced-complexity execution engines (base / RS / IW / IW+RS) with and without integration |
-//! | `perf` | Simulator-throughput harness — simulated KIPS per workload under the base and integration configs, written as a `BENCH_*.json` perf record (`--baseline` chains records into a trajectory) |
 //! | `exp`  | The spec-driven runner: `exp run spec.json` executes any `rix-exp/1` experiment spec ([`ExperimentSpec`]) on the shared engine, with `--dry-run`, `--list-arms`, `--json` and `--output` |
 //!
 //! The figure binaries are themselves spec-driven: each embeds its
@@ -35,9 +34,9 @@
 //! over config fields, crossed/zipped/chained), and whole experiments
 //! as serializable [`ExperimentSpec`] documents.
 //!
-//! The Criterion benches (`cargo bench -p rix-bench`) measure the
-//! simulator's own throughput per subsystem and end-to-end, so
-//! performance regressions in the simulator itself are visible.
+//! The benchmark lives in `perfbench/` (declared by `BENCHMARK.json`):
+//! it drives this crate's sweeps, dispatch and service through their
+//! public calls and reports end-to-end and per-layer metrics.
 
 pub mod dispatch;
 pub mod service;
@@ -921,15 +920,20 @@ impl Sweep {
         Trial { bench, config_label: label.clone(), result, wall: start.elapsed() }
     }
 
-    /// The one in-process executor: runs `cells` (bench-major grid
-    /// indices) on up to `threads` threads, workers claiming the next
-    /// cell from a shared cursor, and hands each finished trial to
-    /// `on_done` **on the calling thread**, in completion order — so a
-    /// thread-local observer such as the dispatch progress hook sees
-    /// every cell. The rows the cells touch are prepared first, spread
-    /// over the same thread budget (with one thread, nothing is spawned).
-    /// An error from `on_done` stops the run once the cells in flight
-    /// finish.
+    /// The one in-process executor, behind [`Sweep::try_run`], a
+    /// distributed run's cache misses and a served run's degraded tail,
+    /// all of which honour [`Sweep::threads`]: runs `cells` (bench-major
+    /// grid indices) on up to `threads` threads, the calling thread
+    /// included, each claiming the next cell from a shared cursor. Every
+    /// finished trial goes to `on_done` **on the calling thread** — its
+    /// own at once, the others' between its cells — so a thread-local
+    /// observer such as the dispatch progress hook sees every cell. The
+    /// rows the cells touch are prepared first, spread over the same
+    /// thread budget; with one thread, nothing is spawned. An error from
+    /// `on_done` stops the run once the cells in flight finish. The
+    /// first call in a process pins the allocator's thresholds (see
+    /// [`pin_malloc_thresholds`]), which keeps peak RSS from growing
+    /// with the number of threads that have ever run a cell.
     pub(crate) fn run_cells(
         &self,
         cells: &[usize],
@@ -939,6 +943,7 @@ impl Sweep {
         if cells.is_empty() {
             return Ok(());
         }
+        pin_malloc_thresholds();
         let ncfg = self.configs.len();
         let mut wanted: Vec<usize> = cells.iter().map(|&i| i / ncfg).collect();
         wanted.sort_unstable();
@@ -969,17 +974,14 @@ impl Sweep {
         }
         let row = |i: usize| rows[i / ncfg].as_ref().expect("every touched row is prepared");
 
-        let threads = threads.clamp(1, cells.len());
-        if threads == 1 {
-            return cells.iter().try_for_each(|&i| on_done(i, self.run_cell(row(i), i)));
-        }
         let next = AtomicUsize::new(0);
+        let claim = || cells.get(next.fetch_add(1, Ordering::Relaxed)).copied();
         std::thread::scope(|scope| {
             let (tx, rx) = mpsc::channel();
-            for _ in 0..threads {
-                let (tx, next, row) = (tx.clone(), &next, &row);
+            for _ in 1..threads.clamp(1, cells.len()) {
+                let (tx, claim, row) = (tx.clone(), &claim, &row);
                 scope.spawn(move || {
-                    while let Some(&i) = cells.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    while let Some(i) = claim() {
                         // A closed channel means `on_done` failed: stop.
                         if tx.send((i, self.run_cell(row(i), i))).is_err() {
                             break;
@@ -988,8 +990,47 @@ impl Sweep {
                 });
             }
             drop(tx);
+            while let Some(i) = claim() {
+                on_done(i, self.run_cell(row(i), i))?;
+                rx.try_iter().try_for_each(|(i, trial)| on_done(i, trial))?;
+            }
             rx.into_iter().try_for_each(|(i, trial)| on_done(i, trial))
         })
+    }
+}
+
+/// Fixes glibc's mmap and trim thresholds at 128 KiB, once per process.
+///
+/// By default glibc raises its mmap threshold to the size of the largest
+/// mmapped block freed so far, and its trim threshold to twice that.
+/// Once the first simulator's 768 KiB L2 tag array is freed, every later
+/// simulator's tables come from the allocating thread's arena and stay
+/// resident there, so peak RSS grows with the number of arenas (threads)
+/// that have ever run a cell. Pinning the mmap threshold keeps the large
+/// tables in mmapped blocks that go back to the kernel on free. Both
+/// calls are needed: setting only the mmap threshold leaves the trim
+/// threshold where the dynamic adjustment already raised it. On the
+/// two-thread `service_mixed` benchmark (2-vCPU Xeon), peak RSS was
+/// 21.4–22.3 MiB with neither call or the mmap threshold alone, and
+/// 17.1–17.8 MiB with both.
+fn pin_malloc_thresholds() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        use std::ffi::c_int;
+        extern "C" {
+            fn mallopt(param: c_int, value: c_int) -> c_int;
+        }
+        const M_TRIM_THRESHOLD: c_int = -1;
+        const M_MMAP_THRESHOLD: c_int = -3;
+        const THRESHOLD: c_int = 128 * 1024;
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        // SAFETY: `mallopt` only tunes glibc's allocator and is safe to
+        // call at any time from any thread; a rejected value leaves the
+        // default in place.
+        ONCE.call_once(|| unsafe {
+            mallopt(M_MMAP_THRESHOLD, THRESHOLD);
+            mallopt(M_TRIM_THRESHOLD, THRESHOLD);
+        });
     }
 }
 

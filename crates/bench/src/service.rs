@@ -170,7 +170,8 @@ mod tests {
 
     #[test]
     fn execute_matches_exp_run_bytes_and_reports_progress() {
-        let engine = ExpEngine::default();
+        // Two cell threads: progress still steps once per cell.
+        let engine = ExpEngine { threads: 2, ..ExpEngine::default() };
         let dir = scratch("exec");
         let mut snapshots: Vec<Progress> = Vec::new();
         let out = engine.execute(SPEC, &dir, &mut |p| snapshots.push(p)).unwrap();

@@ -3,7 +3,7 @@
 //! `Content-Length` bodies, no chunked encoding, no keep-alive, no TLS.
 //! Hand-rolled over `std::net` so the service stays registry-free.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -15,6 +15,10 @@ pub const MAX_BODY: usize = 4 * 1024 * 1024;
 /// peer that never sends a newline cannot grow a connection's buffer.
 pub const MAX_LINE: usize = 8 * 1024;
 const MAX_HEADERS: usize = 64;
+/// The whole request — request line, headers and body — must arrive
+/// within this, so a peer trickling bytes cannot hold a connection
+/// thread for longer.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 
 /// One parsed request. Header names are lowercased at parse time, so
 /// lookups are case-insensitive the way HTTP requires.
@@ -38,11 +42,16 @@ impl Request {
     }
 }
 
-/// Reads one request from `stream` (with a read deadline, so a stalled
-/// peer cannot pin a connection thread forever).
+/// Reads one request from `stream`. The whole request has one 10 s
+/// deadline, so neither a stalled nor a trickling peer can pin a
+/// connection thread.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let mut reader = BufReader::new(stream);
+    read_request_within(stream, REQUEST_DEADLINE)
+}
+
+/// [`read_request`] with the deadline `limit` from now.
+fn read_request_within(stream: &TcpStream, limit: Duration) -> Result<Request, String> {
+    let mut reader = BufReader::new(Deadline { stream, at: Instant::now() + limit });
     let mut line = String::new();
     read_line(&mut reader, &mut line, "request line")?;
     let mut parts = line.split_whitespace();
@@ -78,6 +87,31 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
         req.body = String::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     }
     Ok(req)
+}
+
+/// A socket reader with one deadline over all its reads: before each
+/// read the socket's timeout is set to the time left, and once none is
+/// left every read fails with [`io::ErrorKind::TimedOut`].
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    at: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.at.saturating_duration_since(Instant::now());
+        let timed_out = || io::Error::new(io::ErrorKind::TimedOut, "request deadline passed");
+        if left.is_zero() {
+            return Err(timed_out());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf).map_err(|e| match e.kind() {
+            // The timeout was the time left: the deadline has passed.
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => timed_out(),
+            _ => e,
+        })
+    }
 }
 
 /// Appends one line (at most [`MAX_LINE`] bytes) from `reader` to
@@ -149,20 +183,61 @@ mod tests {
     /// Sends `raw` to a fresh loopback connection and parses it with
     /// [`read_request`].
     fn parse(raw: Vec<u8>) -> Result<Request, String> {
+        // The server may stop reading early; a failed write is fine.
+        let send = move |stream: &mut TcpStream| {
+            let _ = stream.write_all(&raw);
+        };
+        exchange(send, REQUEST_DEADLINE)
+    }
+
+    /// Runs `client` on a fresh loopback connection and parses what it
+    /// sends with a request deadline of `limit`.
+    fn exchange(
+        client: impl FnOnce(&mut TcpStream) + Send + 'static,
+        limit: Duration,
+    ) -> Result<Request, String> {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let client = std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).expect("connect");
-            // The server may stop reading early; a failed write is fine.
-            let _ = stream.write_all(&raw);
+            client(&mut stream);
             stream
         });
-        let (mut stream, _) = listener.accept().expect("accept");
-        let req = read_request(&mut stream);
+        let (stream, _) = listener.accept().expect("accept");
+        let req = read_request_within(&stream, limit);
         // Closing unblocks a client still writing what was never read.
         drop(stream);
         drop(client.join().expect("client"));
         req
+    }
+
+    #[test]
+    fn a_trickling_request_hits_the_total_deadline() {
+        let limit = Duration::from_millis(300);
+        // One byte every 20 ms never trips a per-read timeout, but the
+        // request as a whole misses its deadline.
+        let trickle = |stream: &mut TcpStream| {
+            let _ = stream.write_all(b"GET / HTTP/1.1\r\n");
+            for _ in 0..100 {
+                if stream.write_all(b"x").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        };
+        let start = Instant::now();
+        let err = exchange(trickle, limit).unwrap_err();
+        let waited = start.elapsed();
+        assert!(err.contains("reading header line: request deadline passed"), "{err}");
+        assert!(waited >= limit && waited < Duration::from_secs(1), "{waited:?}");
+
+        // A request that arrives in time still parses under the short
+        // deadline, body included.
+        let prompt = |stream: &mut TcpStream| {
+            let _ = stream.write_all(b"POST /v1/runs HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}");
+        };
+        let req = exchange(prompt, limit).expect("parses");
+        assert_eq!((req.method.as_str(), req.body.as_str()), ("POST", "{}"));
     }
 
     #[test]

@@ -86,10 +86,12 @@ enum State {
     Done,
 }
 
-/// Completion calendar size in cycles (power of two). Large enough that
-/// even a fully-queued memory system schedules completions in range;
-/// further events wait in the overflow list.
-const COMPLETION_RING: usize = 4096;
+/// Completion and wake calendar size in cycles (power of two). Events
+/// further ahead wait in the overflow lists (`completions_far`,
+/// `wake_far`). Memory latency is 80 cycles by default, so almost every
+/// event lands in range; a larger ring only costs allocations and live
+/// heap per simulator.
+const COMPLETION_RING: usize = 256;
 
 /// A parked operand-blocked instruction: everything a wakeup needs, so
 /// waking never touches the `DynInst`.
@@ -370,7 +372,8 @@ pub struct Simulator<'p> {
     /// entries are removed lazily at drain (seqs are never reused).
     completions: Vec<Vec<(u64, u64)>>,
     /// Overflow for completion events scheduled ≥ `COMPLETION_RING`
-    /// cycles ahead (pathological bus queueing); almost always empty.
+    /// cycles ahead (a long memory latency, or bus queueing); almost
+    /// always empty.
     completions_far: Vec<(Cycle, u64, u64)>,
     /// Issued stores whose data register has no scheduled ready time
     /// yet, as (seq, abs); they learn `done_at` the cycle the producer
