@@ -59,7 +59,7 @@
 //! run. Results embed the spec fingerprint, so a record names exactly
 //! the experiment that produced it.
 
-use rix_bench::{result_doc, ExperimentSpec, Harness, Table};
+use rix_bench::{lint_findings, result_doc, ExperimentSpec, Harness, Table};
 
 const EXP_USAGE: &str = "\
 usage: exp run <spec.json> [flags]\n\
@@ -613,19 +613,18 @@ fn main() {
             .iter()
             .filter(|b| h.filter.as_deref().is_none_or(|f| f.eq_ignore_ascii_case(b.name)))
             .collect();
-        // Lint every program the run would measure: a generator bug
-        // (an uninitialised read, a block that can run off the end)
-        // silently becomes a bogus data point, so a dry run rejects it
-        // here rather than validating the spec around it.
-        let mut findings = 0usize;
-        for b in &benches {
-            for d in rix_analysis::lint_program(&b.build(spec.seed)) {
-                eprintln!("  {}: {d}", b.name);
-                findings += 1;
-            }
+        // Lint every program the run would measure: a dry run rejects a
+        // generator bug rather than validating the spec around it.
+        let findings = lint_findings(benches.iter().copied(), spec.seed);
+        for f in &findings {
+            eprintln!("  {f}");
         }
-        if findings > 0 {
-            fail(&format!("{findings} lint findings in the spec's benchmarks (seed {})", spec.seed));
+        if !findings.is_empty() {
+            fail(&format!(
+                "{} lint findings in the spec's benchmarks (seed {})",
+                findings.len(),
+                spec.seed
+            ));
         }
         println!(
             "spec OK: {} ({})",

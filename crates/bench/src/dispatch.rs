@@ -88,7 +88,7 @@
 
 use crate::{Harness, Row, Sweep, Trial, WarmupMode};
 use rix_dispatch::{PoolSummary, ResultCache, WorkerStat, Workers, WORKER_ARG};
-use rix_isa::json::Json;
+use rix_isa::json::{write_str, Json};
 use rix_sim::{RunResult, SimConfig, StopWhen};
 use rix_workloads::Benchmark;
 use std::time::Duration;
@@ -483,52 +483,72 @@ fn trial_from_payload(sweep: &Sweep, i: usize, payload: &Json) -> Result<Trial, 
 /// checkpoint warm-up the *content hash of the snapshot file* stands in
 /// for the mode, so the same snapshot moved to another directory still
 /// hits while a re-saved one misses. `config` and `stop` are the arm's
-/// config and the sweep's stop condition as canonical JSON.
+/// config and the sweep's stop condition as canonical JSON text,
+/// spliced in as they are: the descriptor is the compact dump of
+/// `{"schema", "bench", "seed", "instructions", "warmup",
+/// "warmup_mode", "label", "config"[, "stop"]}`.
 fn cell_descriptor(
     sweep: &Sweep,
     bench: &Benchmark,
     label: &str,
-    config: &Json,
-    stop: Option<&Json>,
+    config: &str,
+    stop: Option<&str>,
     ckpt_hash: Option<&str>,
 ) -> String {
-    let mode = match (&sweep.warmup_mode, ckpt_hash) {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(config.len() + stop.map_or(0, str::len) + 192);
+    out.push_str(r#"{"schema":"#);
+    write_str(&mut out, CELL_SCHEMA);
+    out.push_str(r#","bench":"#);
+    write_str(&mut out, bench.name);
+    let _ = write!(
+        out,
+        r#","seed":{},"instructions":{},"warmup":{},"warmup_mode":"#,
+        sweep.seed, sweep.instructions, sweep.warmup
+    );
+    match (&sweep.warmup_mode, ckpt_hash) {
         (WarmupMode::Checkpoint { .. }, Some(h)) => {
-            Json::Obj(vec![("checkpoint".into(), Json::Str(h.into()))])
+            out.push_str(r#"{"checkpoint":"#);
+            write_str(&mut out, h);
+            out.push('}');
         }
-        (m, _) => Json::Str(m.name().into()),
-    };
-    let mut fields: Vec<(String, Json)> = vec![
-        ("schema".into(), Json::Str(CELL_SCHEMA.into())),
-        ("bench".into(), Json::Str(bench.name.into())),
-        ("seed".into(), Json::Num(sweep.seed.to_string())),
-        ("instructions".into(), Json::Num(sweep.instructions.to_string())),
-        ("warmup".into(), Json::Num(sweep.warmup.to_string())),
-        ("warmup_mode".into(), mode),
-        ("label".into(), Json::Str(label.into())),
-        ("config".into(), config.clone()),
-    ];
-    if let Some(stop) = stop {
-        fields.push(("stop".into(), stop.clone()));
+        (m, _) => write_str(&mut out, m.name()),
     }
-    Json::Obj(fields).dump()
+    out.push_str(r#","label":"#);
+    write_str(&mut out, label);
+    out.push_str(r#","config":"#);
+    out.push_str(config);
+    if let Some(stop) = stop {
+        out.push_str(r#","stop":"#);
+        out.push_str(stop);
+    }
+    out.push('}');
+    out
 }
 
 /// Every cell's cache key, in grid order. Each arm's config and the
-/// stop condition are encoded once per sweep, not once per cell.
+/// stop condition are encoded to canonical text once per sweep, not
+/// once per cell.
 fn cell_keys(sweep: &Sweep) -> Result<Vec<String>, String> {
     let ckpt_hashes = checkpoint_hashes(sweep)?;
+    let canonical = |text: String| Json::parse(&text).map(|v| v.dump());
     let configs = sweep
         .configs
         .iter()
-        .map(|(_, cfg)| Json::parse(&cfg.to_json()))
-        .collect::<Result<Vec<Json>, String>>()?;
-    let stop = sweep.stop.as_ref().map(|s| Json::parse(&s.to_json())).transpose()?;
+        .map(|(_, cfg)| canonical(cfg.to_json()))
+        .collect::<Result<Vec<String>, String>>()?;
+    let stop = sweep.stop.as_ref().map(|s| canonical(s.to_json())).transpose()?;
     let mut keys = Vec::with_capacity(sweep.benchmarks.len() * configs.len());
     for (bench, ckpt_hash) in sweep.benchmarks.iter().zip(&ckpt_hashes) {
         for ((label, _), config) in sweep.configs.iter().zip(&configs) {
-            let desc =
-                cell_descriptor(sweep, bench, label, config, stop.as_ref(), ckpt_hash.as_deref());
+            let desc = cell_descriptor(
+                sweep,
+                bench,
+                label,
+                config,
+                stop.as_deref(),
+                ckpt_hash.as_deref(),
+            );
             keys.push(ResultCache::key(&desc));
         }
     }
@@ -809,7 +829,9 @@ mod tests {
     }
 
     /// One cell's descriptor for an arbitrary config, encoding it on the
-    /// spot ([`cell_keys`] encodes each arm once per sweep).
+    /// spot ([`cell_keys`] encodes each arm once per sweep). Checks the
+    /// spliced text against the descriptor built as one `Json` tree and
+    /// dumped whole, the encoding every cache on disk was keyed by.
     fn cell_descriptor(
         sweep: &Sweep,
         bench: &Benchmark,
@@ -819,7 +841,35 @@ mod tests {
     ) -> Result<String, String> {
         let config = Json::parse(&cfg.to_json())?;
         let stop = sweep.stop.as_ref().map(|s| Json::parse(&s.to_json())).transpose()?;
-        Ok(super::cell_descriptor(sweep, bench, label, &config, stop.as_ref(), ckpt_hash))
+        let mode = match (&sweep.warmup_mode, ckpt_hash) {
+            (WarmupMode::Checkpoint { .. }, Some(h)) => {
+                Json::Obj(vec![("checkpoint".into(), Json::Str(h.into()))])
+            }
+            (m, _) => Json::Str(m.name().into()),
+        };
+        let mut fields: Vec<(String, Json)> = vec![
+            ("schema".into(), Json::Str(CELL_SCHEMA.into())),
+            ("bench".into(), Json::Str(bench.name.into())),
+            ("seed".into(), Json::Num(sweep.seed.to_string())),
+            ("instructions".into(), Json::Num(sweep.instructions.to_string())),
+            ("warmup".into(), Json::Num(sweep.warmup.to_string())),
+            ("warmup_mode".into(), mode),
+            ("label".into(), Json::Str(label.into())),
+            ("config".into(), config.clone()),
+        ];
+        if let Some(stop) = &stop {
+            fields.push(("stop".into(), stop.clone()));
+        }
+        let spliced = super::cell_descriptor(
+            sweep,
+            bench,
+            label,
+            &config.dump(),
+            stop.map(|s| s.dump()).as_deref(),
+            ckpt_hash,
+        );
+        assert_eq!(spliced, Json::Obj(fields).dump(), "spliced descriptor");
+        Ok(spliced)
     }
 
     #[test]
@@ -1000,6 +1050,24 @@ mod tests {
         let mut tweaked = *cfg;
         tweaked.num_pregs += 64;
         assert_ne!(base, cell_descriptor(&sweep, b, label, &tweaked, None).unwrap());
+    }
+
+    #[test]
+    fn spliced_descriptors_match_the_tree_encoding_in_every_mode() {
+        // The helper asserts the spliced text equals the whole-tree dump;
+        // cover the optional `stop` field and the checkpoint hash too.
+        let stop = StopWhen::Any(vec![StopWhen::RetiredAtLeast(9), StopWhen::CyclesAtLeast(7)]);
+        let checkpointed = small_sweep()
+            .warmup(500)
+            .warmup_mode(WarmupMode::Checkpoint { dir: "ckpts".into() })
+            .stop(stop);
+        let b = &checkpointed.benchmarks[1];
+        let (label, cfg) = &checkpointed.configs[1];
+        let desc = cell_descriptor(&checkpointed, b, label, cfg, Some("00ff")).unwrap();
+        assert!(desc.contains(r#""warmup_mode":{"checkpoint":"00ff"}"#), "{desc}");
+        assert!(desc.ends_with("]}}"), "stop is the last field: {desc}");
+        let odd = cell_descriptor(&small_sweep(), b, "a\"b\\c\n", cfg, None).unwrap();
+        assert!(odd.contains(r#""label":"a\"b\\c\u000a""#), "{odd}");
     }
 
     #[test]

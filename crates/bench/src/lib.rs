@@ -47,13 +47,16 @@ pub use dispatch::{CellProgress, DispatchOptions, DispatchReport};
 pub use space::{Axis, AxisValue, ParamSpace};
 pub use spec::ExperimentSpec;
 
+use rix_analysis::Diagnostic;
 use rix_integration::IntegrationConfig;
 use rix_isa::interp::Interp;
+use rix_isa::json::write_str;
 use rix_isa::{ArchState, Program};
 use rix_sim::{Checkpoint, RunResult, SimConfig, Simulator, StopWhen};
 use rix_workloads::Benchmark;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 
 /// How a [`Sweep`] executes its warm-up phase.
 ///
@@ -476,12 +479,14 @@ impl Trial {
     /// JSON object for this trial record.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"bench":"{}","config":"{}","result":{}}}"#,
-            json_escape(self.bench),
-            json_escape(&self.config_label),
-            self.result.to_json()
-        )
+        let mut out = String::from(r#"{"bench":"#);
+        write_str(&mut out, self.bench);
+        out.push_str(r#","config":"#);
+        write_str(&mut out, &self.config_label);
+        out.push_str(r#","result":"#);
+        out.push_str(&self.result.to_json());
+        out.push('}');
+        out
     }
 }
 
@@ -525,17 +530,51 @@ pub fn result_doc(
     )
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// How many (benchmark, seed) lint verdicts [`lint_findings`] keeps.
+/// Past this many the memo starts over, so no stream of seeds grows it
+/// without bound; 256 is every benchmark at 16 seeds.
+const LINT_MEMO_CAP: usize = 256;
+
+/// Lint verdicts by (benchmark name, seed), each with the generator
+/// parameters it was computed from. A spec names benchmarks only
+/// through the built-in table, so the name and the seed determine the
+/// program — the same identity a `rix-cell/1` cache key rests on. The
+/// stored [`rix_workloads::Spec`] keeps a hand-built benchmark that
+/// borrows a built-in's name from reading the built-in's verdict.
+type LintMemo = BTreeMap<(&'static str, u64), (rix_workloads::Spec, Vec<Diagnostic>)>;
+static LINT_MEMO: Mutex<LintMemo> = Mutex::new(BTreeMap::new());
+
+/// The [`rix_analysis`] lint gate of `exp run --dry-run` and the
+/// experiment service: every finding in the programs of `benches` at
+/// `seed`, rendered `name: finding`, in order. A generator bug (an
+/// uninitialised read, a block that can run off the end) would
+/// silently become a bogus data point, so both reject a spec with any.
+/// Each program is built and linted once per process and seed; later
+/// calls read the verdict from a bounded memo.
+pub fn lint_findings<'a>(
+    benches: impl IntoIterator<Item = &'a Benchmark>,
+    seed: u64,
+) -> Vec<String> {
+    benches
+        .into_iter()
+        .flat_map(|b| lint_memoized(b, seed).into_iter().map(move |d| format!("{}: {d}", b.name)))
+        .collect()
+}
+
+/// [`rix_analysis::lint_program`] of `b` at `seed`, through [`LINT_MEMO`].
+/// The lock is not held while a program is built and linted.
+fn lint_memoized(b: &Benchmark, seed: u64) -> Vec<Diagnostic> {
+    let memo = || LINT_MEMO.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    if let Some((_, found)) = memo().get(&(b.name, seed)).filter(|(spec, _)| *spec == b.spec) {
+        return found.clone();
     }
-    out
+    let found = rix_analysis::lint_program(&b.build(seed));
+    let mut memo = memo();
+    if memo.len() >= LINT_MEMO_CAP {
+        memo.clear();
+    }
+    memo.insert((b.name, seed), (b.spec, found.clone()));
+    found
 }
 
 /// One grid row's shared state: the benchmark's program and its warm-up
@@ -1356,7 +1395,39 @@ mod tests {
         assert!(j.starts_with('[') && j.ends_with(']'));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert!(j.contains(r#""bench":"bzip2""#));
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
+        // Labels are escaped like any JSON string.
+        let odd = Trial { config_label: "a\"b\\c\n".into(), ..trials[0].clone() };
+        assert!(odd.to_json().contains(r#""config":"a\"b\\c\u000a","#), "{}", odd.to_json());
+    }
+
+    #[test]
+    fn lint_memo_matches_lint_program_and_stays_bounded() {
+        for seed in [1, 7] {
+            for b in rix_workloads::all_benchmarks() {
+                let direct = rix_analysis::lint_program(&b.build(seed));
+                // A miss or a hit (other tests share the memo), then a hit.
+                assert_eq!(lint_memoized(&b, seed), direct, "{} seed {seed}", b.name);
+                assert_eq!(lint_memoized(&b, seed), direct, "{} seed {seed} again", b.name);
+                let rendered: Vec<String> =
+                    direct.iter().map(|d| format!("{}: {d}", b.name)).collect();
+                assert_eq!(lint_findings([&b], seed), rendered);
+            }
+        }
+        // A hand-built benchmark under a built-in's name is linted as
+        // itself, not answered from the built-in's entry.
+        let b = rix_workloads::by_name("gzip").expect("built-in");
+        let mut impostor = b;
+        impostor.spec.num_funcs += 3;
+        let _ = lint_memoized(&b, 424_242);
+        let direct = rix_analysis::lint_program(&impostor.build(424_242));
+        assert_eq!(lint_memoized(&impostor, 424_242), direct);
+        let entry = LINT_MEMO.lock().expect("memo lock").get(&("gzip", 424_242)).map(|e| e.0);
+        assert_eq!(entry, Some(impostor.spec), "the impostor's verdict replaced the entry");
+        for seed in 1_000..1_000 + LINT_MEMO_CAP as u64 + 20 {
+            let _ = lint_memoized(&b, seed);
+            let held = LINT_MEMO.lock().expect("memo lock").len();
+            assert!(held <= LINT_MEMO_CAP, "{held} entries past the cap");
+        }
     }
 
     #[test]

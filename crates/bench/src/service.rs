@@ -5,7 +5,9 @@
 //! Validation is exactly as strict as `exp run --dry-run`: spec parse,
 //! sweep-shape validation, checkpoint-file checks, and the
 //! [`rix_analysis`] program lints over every benchmark the spec would
-//! measure. The run id is the spec's canonical `fingerprint128` hex, so
+//! measure ([`crate::lint_findings`], which lints each (benchmark,
+//! seed) once per process, so a resubmission pays only for its cache
+//! reads). The run id is the spec's canonical `fingerprint128` hex, so
 //! the service's dedup key is the same identity the result document
 //! embeds.
 //!
@@ -18,7 +20,7 @@
 //! returned separately for the run-status endpoint.
 
 use crate::dispatch::{with_cell_progress, CellProgress};
-use crate::{result_doc, DispatchOptions, ExperimentSpec, Harness};
+use crate::{lint_findings, result_doc, DispatchOptions, ExperimentSpec, Harness};
 use rix_serve::{Engine, Progress, RunOutput, SpecInfo};
 
 /// How the service executes accepted specs. All knobs are per-server
@@ -62,12 +64,7 @@ impl Engine for ExpEngine {
         sweep.validate()?;
         sweep.validate_checkpoint_files()?;
         let arms = spec.arms()?;
-        let mut findings = Vec::new();
-        for b in &spec.benchmarks {
-            for d in rix_analysis::lint_program(&b.build(spec.seed)) {
-                findings.push(format!("{}: {d}", b.name));
-            }
-        }
+        let findings = lint_findings(&spec.benchmarks, spec.seed);
         if !findings.is_empty() {
             return Err(format!(
                 "{} lint findings in the spec's benchmarks (seed {}): {}",

@@ -346,6 +346,52 @@ fn oversized_header_line_is_refused_and_server_survives() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A client that trickles request-header bytes holds only its own
+/// connection: while it is still connected and mid-header, a normal
+/// client is answered within 2 s. (The 10 s per-request deadline that
+/// finally drops the trickler is unit-tested in `rix_serve::http`.)
+#[test]
+fn slow_trickle_client_does_not_stall_other_clients() {
+    use std::io::{ErrorKind, Read, Write};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+    let dir = scratch("trickle");
+    let api = spawn_api(&dir.join("data"), &["--executors", "0"], &[]);
+
+    let mut slow = std::net::TcpStream::connect(&api.addr).expect("connect");
+    slow.write_all(b"GET /v1/runs HTTP/1.1\r\nX-Slow: ").expect("request line");
+    let mut trickler = slow.try_clone().expect("clone");
+    let done = Arc::new(AtomicBool::new(false));
+    let stop = Arc::clone(&done);
+    // One header byte every 50 ms, never the end of the header.
+    let sender = std::thread::spawn(move || {
+        while !stop.load(Ordering::SeqCst) {
+            trickler.write_all(b"a")?;
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        Ok::<(), std::io::Error>(())
+    });
+    std::thread::sleep(Duration::from_millis(300));
+
+    let start = Instant::now();
+    let (status, body) = rix_serve::client::request(&api.addr, "GET", "/v1/runs", None, None)
+        .expect("the server answers");
+    let waited = start.elapsed();
+    assert_eq!(status, 200, "{body}");
+    assert!(waited < Duration::from_secs(2), "answered after {waited:?}");
+
+    // The trickler is still connected: nothing, not even a 400 or an
+    // EOF, has come back on its connection.
+    slow.set_read_timeout(Some(Duration::from_millis(100))).expect("read timeout");
+    let mut byte = [0u8; 1];
+    let err = slow.read(&mut byte).expect_err("no reply to an unfinished header");
+    assert!(matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut), "{err}");
+    done.store(true, Ordering::SeqCst);
+    sender.join().expect("sender").expect("every trickled byte was accepted");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Structured client-side failures: unknown run ids and unfinished
 /// results exit 1 with the server's error message, not a usage dump.
 #[test]

@@ -136,38 +136,45 @@ impl Json {
     /// their preserved raw text, so `parse` → `dump` round-trips 64-bit
     /// integers exactly; strings re-escape quotes, backslashes and
     /// control characters. `parse(v.dump()) == v` for any parsed `v`.
+    /// The string comes back exactly sized, since callers keep some for
+    /// as long as a server runs (canonical specs, run reports).
     #[must_use]
     pub fn dump(&self) -> String {
+        let mut out = String::new();
+        self.dump_into(&mut out);
+        out.shrink_to_fit();
+        out
+    }
+
+    /// Appends [`Json::dump`]'s bytes to `out`: the whole tree is
+    /// written into the one buffer, with no per-node allocation.
+    pub fn dump_into(&self, out: &mut String) {
         match self {
-            Json::Null => "null".to_string(),
-            Json::Bool(b) => b.to_string(),
-            Json::Num(raw) => raw.clone(),
-            Json::Str(s) => {
-                let mut out = String::with_capacity(s.len() + 2);
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        c if (c as u32) < 0x20 => {
-                            out.push_str(&format!("\\u{:04x}", c as u32));
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-                out
-            }
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(raw) => out.push_str(raw),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
-                let body: Vec<String> = items.iter().map(Json::dump).collect();
-                format!("[{}]", body.join(","))
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.dump_into(out);
+                }
+                out.push(']');
             }
             Json::Obj(fields) => {
-                let body: Vec<String> = fields
-                    .iter()
-                    .map(|(k, v)| format!("{}:{}", Json::Str(k.clone()).dump(), v.dump()))
-                    .collect();
-                format!("{{{}}}", body.join(","))
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_str(out, k);
+                    out.push(':');
+                    v.dump_into(out);
+                }
+                out.push('}');
             }
         }
     }
@@ -179,6 +186,37 @@ impl Json {
             .as_u64()
             .ok_or_else(|| format!("key `{key}` is not a u64"))
     }
+}
+
+/// Appends `s` to `out` as a JSON string literal: quoted, with `"`,
+/// `\` and control characters escaped (the latter as `\u00xx`), all
+/// else verbatim. The string writer of [`Json::dump`], for hand-rolled
+/// writers that emit the same bytes.
+pub fn write_str(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
+    out.push('"');
+    // Copy each run up to the next byte that needs escaping in one go.
+    // Those bytes are all ASCII, so a run never splits a UTF-8 sequence.
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[start..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            _ => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
 }
 
 /// The value at object key `key` as an exact `u64`, with the standard
@@ -526,8 +564,91 @@ b""#,
         .prop_map(|chars| chars.into_iter().collect())
     }
 
+    /// The per-node recursive encoder `dump` used to be: the oracle the
+    /// one-buffer writer must match byte for byte.
+    fn reference_dump(v: &Json) -> String {
+        match v {
+            Json::Null => "null".to_string(),
+            Json::Bool(b) => b.to_string(),
+            Json::Num(raw) => raw.clone(),
+            Json::Str(s) => {
+                let mut out = String::with_capacity(s.len() + 2);
+                out.push('"');
+                for c in s.chars() {
+                    match c {
+                        '"' => out.push_str("\\\""),
+                        '\\' => out.push_str("\\\\"),
+                        c if (c as u32) < 0x20 => {
+                            out.push_str(&format!("\\u{:04x}", c as u32));
+                        }
+                        c => out.push(c),
+                    }
+                }
+                out.push('"');
+                out
+            }
+            Json::Arr(items) => {
+                let body: Vec<String> = items.iter().map(reference_dump).collect();
+                format!("[{}]", body.join(","))
+            }
+            Json::Obj(fields) => {
+                let body: Vec<String> = fields
+                    .iter()
+                    .map(|(k, v)| {
+                        format!("{}:{}", reference_dump(&Json::Str(k.clone())), reference_dump(v))
+                    })
+                    .collect();
+                format!("{{{}}}", body.join(","))
+            }
+        }
+    }
+
+    /// A random tree up to `depth` levels deep whose keys and string
+    /// leaves come from `strings`, shaped by the xorshift state `rng`.
+    fn random_tree(rng: &mut u64, strings: &[String], depth: usize) -> Json {
+        fn next(rng: &mut u64, n: u64) -> u64 {
+            *rng ^= *rng << 13;
+            *rng ^= *rng >> 7;
+            *rng ^= *rng << 17;
+            *rng % n
+        }
+        let pick = |rng: &mut u64| strings[next(rng, strings.len() as u64) as usize].clone();
+        match next(rng, if depth == 0 { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(next(rng, 2) == 1),
+            2 => Json::Num(next(rng, u64::MAX).to_string()),
+            3 => Json::Str(pick(rng)),
+            4 => {
+                let len = next(rng, 5);
+                Json::Arr((0..len).map(|_| random_tree(rng, strings, depth - 1)).collect())
+            }
+            _ => {
+                let len = next(rng, 5);
+                Json::Obj(
+                    (0..len).map(|_| (pick(rng), random_tree(rng, strings, depth - 1))).collect(),
+                )
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn dump_matches_the_recursive_encoder(
+            seed in any::<u64>(),
+            strings in proptest::collection::vec(tricky_string(), 1..8),
+        ) {
+            // xorshift needs a nonzero state.
+            let mut rng = seed | 1;
+            let v = random_tree(&mut rng, &strings, 5);
+            let text = v.dump();
+            prop_assert_eq!(&text, &reference_dump(&v));
+            let mut appended = String::from("prefix");
+            v.dump_into(&mut appended);
+            prop_assert_eq!(&appended[6..], &text[..]);
+            prop_assert_eq!(Json::parse(&text), Ok(v));
+        }
 
         #[test]
         fn strings_round_trip_through_dump(

@@ -26,7 +26,7 @@ pub enum ImmDiversity {
 }
 
 /// Generator parameters for one benchmark point.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Spec {
     /// Distinct callable functions.
     pub num_funcs: usize,
