@@ -531,12 +531,10 @@ fn cell_descriptor(
 /// once per cell.
 fn cell_keys(sweep: &Sweep) -> Result<Vec<String>, String> {
     let ckpt_hashes = checkpoint_hashes(sweep)?;
+    // `SimConfig::to_json` is already canonical (compact, in field
+    // order), so its text is spliced as it is.
+    let configs: Vec<String> = sweep.configs.iter().map(|(_, cfg)| cfg.to_json()).collect();
     let canonical = |text: String| Json::parse(&text).map(|v| v.dump());
-    let configs = sweep
-        .configs
-        .iter()
-        .map(|(_, cfg)| canonical(cfg.to_json()))
-        .collect::<Result<Vec<String>, String>>()?;
     let stop = sweep.stop.as_ref().map(|s| canonical(s.to_json())).transpose()?;
     let mut keys = Vec::with_capacity(sweep.benchmarks.len() * configs.len());
     for (bench, ckpt_hash) in sweep.benchmarks.iter().zip(&ckpt_hashes) {

@@ -16,7 +16,7 @@
 //! dedup across runs and across restarts. The stored result document is
 //! built with **no** `cache` or `dispatch` sections — byte-identical to
 //! `exp run --json` on the same spec, which is the service's
-//! re-serve-exactly guarantee; the structured [`DispatchReport`] is
+//! re-serve-exactly guarantee; the structured [`DispatchReport`](crate::DispatchReport) is
 //! returned separately for the run-status endpoint.
 
 use crate::dispatch::{with_cell_progress, CellProgress};

@@ -32,11 +32,11 @@ impl Default for PredictorConfig {
     }
 }
 
-impl PredictorConfig {
-    /// The field names [`PredictorConfig::apply_json`] accepts.
-    pub const KEYS: &'static [&'static str] =
-        &["bimodal_entries", "gshare_entries", "chooser_entries", "history_bits"];
+rix_isa::json_fields!(PredictorConfig: "predictor config" {
+    bimodal_entries, gshare_entries, chooser_entries, history_bits
+});
 
+impl PredictorConfig {
     /// Checks that the tables can actually be built
     /// ([`HybridPredictor::new`] would panic otherwise): power-of-two
     /// table sizes and a history width the shift math can represent.
@@ -52,36 +52,6 @@ impl PredictorConfig {
         }
         if !(1..=63).contains(&self.history_bits) {
             return Err(format!("history_bits must be 1-63 (got {})", self.history_bits));
-        }
-        Ok(())
-    }
-
-    /// Serialises the table sizes as a JSON object (every field, stable
-    /// key order).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"bimodal_entries":{},"gshare_entries":{},"chooser_entries":{},"history_bits":{}}}"#,
-            self.bimodal_entries, self.gshare_entries, self.chooser_entries, self.history_bits
-        )
-    }
-
-    /// Applies a (possibly partial) JSON object: present keys overwrite,
-    /// omitted keys keep their current value, unknown keys are rejected
-    /// with an error naming them.
-    pub fn apply_json(&mut self, v: &rix_isa::json::Json) -> Result<(), String> {
-        use rix_isa::json::expect_u64;
-        let rix_isa::json::Json::Obj(fields) = v else {
-            return Err("predictor config must be a JSON object".to_string());
-        };
-        for (k, val) in fields {
-            match k.as_str() {
-                "bimodal_entries" => self.bimodal_entries = expect_u64(k, val)? as usize,
-                "gshare_entries" => self.gshare_entries = expect_u64(k, val)? as usize,
-                "chooser_entries" => self.chooser_entries = expect_u64(k, val)? as usize,
-                "history_bits" => self.history_bits = expect_u64(k, val)? as u32,
-                other => return Err(rix_isa::json::unknown_key(other, Self::KEYS)),
-            }
         }
         Ok(())
     }

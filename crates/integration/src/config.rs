@@ -1,7 +1,5 @@
 //! Integration configuration and the paper's experiment presets.
 
-use rix_isa::json::Json;
-
 /// How the integration table is indexed (§2.3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IndexScheme {
@@ -33,6 +31,8 @@ impl IndexScheme {
         }
     }
 }
+
+rix_isa::json_fields!(enum IndexScheme);
 
 /// Which operations create reverse IT entries (§2.4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,6 +71,8 @@ impl ReverseScope {
     }
 }
 
+rix_isa::json_fields!(enum ReverseScope);
+
 /// How load mis-integrations are suppressed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Suppression {
@@ -103,6 +105,8 @@ impl Suppression {
         }
     }
 }
+
+rix_isa::json_fields!(enum Suppression);
 
 /// Full configuration of the integration machinery.
 ///
@@ -287,75 +291,6 @@ impl IntegrationConfig {
         Ok(())
     }
 
-    /// The field names [`IntegrationConfig::apply_json`] accepts.
-    pub const KEYS: &'static [&'static str] = &[
-        "enabled",
-        "general_reuse",
-        "index",
-        "reverse",
-        "suppression",
-        "it_entries",
-        "it_ways",
-        "gen_bits",
-        "count_bits",
-        "lisp_entries",
-        "lisp_ways",
-        "pipeline_depth",
-    ];
-
-    /// Serialises the configuration as a JSON object (every field,
-    /// stable key order; enums by their stable names).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                r#"{{"enabled":{},"general_reuse":{},"index":"{}","reverse":"{}","#,
-                r#""suppression":"{}","it_entries":{},"it_ways":{},"gen_bits":{},"#,
-                r#""count_bits":{},"lisp_entries":{},"lisp_ways":{},"pipeline_depth":{}}}"#
-            ),
-            self.enabled,
-            self.general_reuse,
-            self.index.as_str(),
-            self.reverse.as_str(),
-            self.suppression.as_str(),
-            self.it_entries,
-            self.it_ways,
-            self.gen_bits,
-            self.count_bits,
-            self.lisp_entries,
-            self.lisp_ways,
-            self.pipeline_depth,
-        )
-    }
-
-    /// Applies a (possibly partial) JSON object: present keys overwrite,
-    /// omitted keys keep their current value, unknown keys are rejected
-    /// with an error naming them.
-    pub fn apply_json(&mut self, v: &Json) -> Result<(), String> {
-        use rix_isa::json::{expect_bool, expect_str, expect_u64};
-        let Json::Obj(fields) = v else {
-            return Err("integration config must be a JSON object".to_string());
-        };
-        for (k, val) in fields {
-            match k.as_str() {
-                "enabled" => self.enabled = expect_bool(k, val)?,
-                "general_reuse" => self.general_reuse = expect_bool(k, val)?,
-                "index" => self.index = IndexScheme::parse(&expect_str(k, val)?)?,
-                "reverse" => self.reverse = ReverseScope::parse(&expect_str(k, val)?)?,
-                "suppression" => self.suppression = Suppression::parse(&expect_str(k, val)?)?,
-                "it_entries" => self.it_entries = expect_u64(k, val)? as usize,
-                "it_ways" => self.it_ways = expect_u64(k, val)? as usize,
-                "gen_bits" => self.gen_bits = expect_u64(k, val)? as u32,
-                "count_bits" => self.count_bits = expect_u64(k, val)? as u32,
-                "lisp_entries" => self.lisp_entries = expect_u64(k, val)? as usize,
-                "lisp_ways" => self.lisp_ways = expect_u64(k, val)? as usize,
-                "pipeline_depth" => self.pipeline_depth = expect_u64(k, val)?,
-                other => return Err(rix_isa::json::unknown_key(other, Self::KEYS)),
-            }
-        }
-        Ok(())
-    }
-
     /// The four extension arms of Figure 4, in order, with their paper
     /// labels.
     #[must_use]
@@ -368,6 +303,11 @@ impl IntegrationConfig {
         ]
     }
 }
+
+rix_isa::json_fields!(IntegrationConfig: "integration config" {
+    enabled, general_reuse, index, reverse, suppression, it_entries, it_ways, gen_bits,
+    count_bits, lisp_entries, lisp_ways, pipeline_depth,
+});
 
 #[cfg(test)]
 mod tests {

@@ -183,6 +183,11 @@ pub struct IntegrationStats {
     pub by_refcount: [[u64; 2]; 4],
 }
 
+rix_isa::json_fields!(complete IntegrationStats: "integration stats" {
+    direct, reverse, retired, mis_integrations, load_mis_integrations, register_mis_integrations,
+    suppressed, by_type, by_distance, by_status, by_refcount,
+});
+
 impl IntegrationStats {
     /// Creates zeroed statistics.
     #[must_use]

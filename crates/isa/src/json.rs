@@ -4,7 +4,10 @@
 //! ([`crate::ArchState::to_json`], `RunResult::to_json`, the perf
 //! records); this module is the matching reader, used wherever a
 //! round-trip back into Rust is needed (checkpoint restore, baseline
-//! comparison). It is deliberately small:
+//! comparison). Plain structs of counters and settings (the simulator
+//! configs and statistics) list their fields once in
+//! [`json_fields!`](crate::json_fields), which generates both directions
+//! through the [`JsonFields`] trait. It is deliberately small:
 //!
 //! * numbers keep their **raw text** so `u64` values round-trip exactly
 //!   (an `f64` intermediate would corrupt 64-bit memory words above
@@ -35,6 +38,8 @@
 //! let cell = &v.get("mem").unwrap().as_arr().unwrap()[0];
 //! assert_eq!(cell.as_arr().unwrap()[1].as_u64(), Some(u64::MAX));
 //! ```
+
+use std::fmt::Write as _;
 
 /// How deeply arrays and objects may nest in a document [`Json::parse`]
 /// accepts. The deepest document the workspace writes (an experiment
@@ -234,6 +239,241 @@ pub fn expect_bool(key: &str, v: &Json) -> Result<bool, String> {
 /// As [`expect_u64`], for strings.
 pub fn expect_str(key: &str, v: &Json) -> Result<String, String> {
     v.as_str().map(str::to_string).ok_or_else(|| format!("key `{key}` must be a string"))
+}
+
+/// As [`expect_u64`], for a narrower integer type: a value that does
+/// not fit is an error naming the key, never a truncation.
+fn expect_narrow<T: TryFrom<u64>>(key: &str, v: &Json) -> Result<T, String> {
+    let n = expect_u64(key, v)?;
+    T::try_from(n).map_err(|_| {
+        let bits = 8 * std::mem::size_of::<T>();
+        format!("key `{key}` must be an unsigned integer below 2^{bits} (got {n})")
+    })
+}
+
+/// A value with one canonical JSON encoding that can be read back onto
+/// an existing value: the integer, boolean and histogram leaves below,
+/// and every struct and enum [`json_fields!`](crate::json_fields) lists.
+pub trait JsonFields {
+    /// Appends the value's canonical JSON to `out`.
+    fn write_json(&self, out: &mut String);
+
+    /// Reads `v`, the value of the object key `key`, onto `self`. Errors
+    /// name `key`; a struct prefixes its fields' errors with `"<key>: "`.
+    fn read_json(&mut self, key: &str, v: &Json) -> Result<(), String>;
+
+    /// Appends the dotted path of every leaf under `path` to `out`: a
+    /// leaf is `path` itself, a struct recurses into its fields in
+    /// order.
+    fn leaf_paths(&self, path: &str, out: &mut Vec<String>) {
+        out.push(path.to_string());
+    }
+}
+
+impl JsonFields for u64 {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn read_json(&mut self, key: &str, v: &Json) -> Result<(), String> {
+        *self = expect_u64(key, v)?;
+        Ok(())
+    }
+}
+
+impl JsonFields for usize {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn read_json(&mut self, key: &str, v: &Json) -> Result<(), String> {
+        *self = expect_narrow(key, v)?;
+        Ok(())
+    }
+}
+
+impl JsonFields for u32 {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn read_json(&mut self, key: &str, v: &Json) -> Result<(), String> {
+        *self = expect_narrow(key, v)?;
+        Ok(())
+    }
+}
+
+impl JsonFields for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn read_json(&mut self, key: &str, v: &Json) -> Result<(), String> {
+        *self = expect_bool(key, v)?;
+        Ok(())
+    }
+}
+
+/// A histogram of `[direct, reverse]` count pairs, as `[[d,r],…]`.
+impl<const N: usize> JsonFields for [[u64; 2]; N] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, [d, r]) in self.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(out, "{sep}[{d},{r}]");
+        }
+        out.push(']');
+    }
+
+    fn read_json(&mut self, key: &str, v: &Json) -> Result<(), String> {
+        let cells = v
+            .as_arr()
+            .filter(|a| a.len() == N)
+            .ok_or_else(|| format!("key `{key}` is not a {N}-entry histogram"))?;
+        for (i, (slot, cell)) in self.iter_mut().zip(cells).enumerate() {
+            *slot = match cell.as_arr() {
+                Some([d, r]) => d.as_u64().zip(r.as_u64()).map(|(d, r)| [d, r]),
+                _ => None,
+            }
+            .ok_or_else(|| format!("`{key}`[{i}] is not a [direct, reverse] pair"))?;
+        }
+        Ok(())
+    }
+}
+
+/// The dotted path of field `key` inside the value at `path` (`""` is
+/// the root).
+#[must_use]
+pub fn child_path(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_string()
+    } else {
+        format!("{path}.{key}")
+    }
+}
+
+/// Implements [`JsonFields`] for a type from **one** list of its fields,
+/// and generates its JSON surface:
+///
+/// * `json_fields!(Type: "what" { a, b, … })` — a config: an associated
+///   `KEYS` (the field names, in JSON order), `to_json` (every field in
+///   that order) and `apply_json`, which reads a partial object onto the
+///   value. Present keys overwrite; omitted keys keep their value;
+///   unknown keys are rejected through [`unknown_key`]; a value that is
+///   not an object is ``"<what> must be a JSON object"``.
+/// * `json_fields!(complete Type: "what" { … })` — a lossless counter
+///   encoding: `KEYS` and `apply_json` as above, except that a missing
+///   key is an error, never a kept value. It is written with
+///   [`JsonFields::write_json`]; no `to_json` is generated, so a
+///   hand-written view of that name can live beside it.
+/// * `json_fields!(enum Type)` — an enum with `as_str(&self) -> &str`
+///   and `parse(&str) -> Result<Self, String>`, encoded as its name.
+///
+/// Each field's type must itself implement [`JsonFields`].
+///
+/// ```
+/// use rix_isa::json::{Json, JsonFields};
+///
+/// #[derive(Default)]
+/// struct Geometry { sets: u64, ways: usize, lru: bool }
+/// rix_isa::json_fields!(Geometry: "geometry" { sets, ways, lru });
+///
+/// let mut g = Geometry { sets: 64, ..Geometry::default() };
+/// g.apply_json(&Json::parse(r#"{"ways":4}"#).unwrap()).unwrap();
+/// assert_eq!(g.to_json(), r#"{"sets":64,"ways":4,"lru":false}"#);
+/// assert_eq!(Geometry::KEYS, ["sets", "ways", "lru"]);
+/// let mut paths = Vec::new();
+/// g.leaf_paths("l1", &mut paths);
+/// assert_eq!(paths, ["l1.sets", "l1.ways", "l1.lru"]);
+/// ```
+#[macro_export]
+macro_rules! json_fields {
+    (@fields $complete:literal, $T:ty, $what:literal, $($f:ident),+) => {
+        impl $T {
+            /// The field names [`apply_json`](Self::apply_json) accepts,
+            /// in JSON order.
+            pub const KEYS: &'static [&'static str] = &[$(stringify!($f)),+];
+
+            /// Reads a JSON object onto the value; see
+            /// [`json_fields!`](rix_isa::json_fields) for which keys
+            /// must be present. A nested field's errors are prefixed
+            /// with `"<key>: "`.
+            pub fn apply_json(&mut self, v: &$crate::json::Json) -> Result<(), String> {
+                let $crate::json::Json::Obj(fields) = v else {
+                    return Err(concat!($what, " must be a JSON object").to_string());
+                };
+                for (k, val) in fields {
+                    match k.as_str() {
+                        $(stringify!($f) => {
+                            $crate::json::JsonFields::read_json(&mut self.$f, k, val)?;
+                        })+
+                        other => return Err($crate::json::unknown_key(other, Self::KEYS)),
+                    }
+                }
+                if $complete {
+                    if let Some(k) = Self::KEYS.iter().find(|k| v.get(k).is_none()) {
+                        return Err(format!("missing key `{k}`"));
+                    }
+                }
+                Ok(())
+            }
+        }
+
+        impl $crate::json::JsonFields for $T {
+            fn write_json(&self, out: &mut String) {
+                // `{` before the first field, `,` before each later one.
+                let mut sep = '{';
+                $(
+                    out.push(sep);
+                    sep = ',';
+                    out.push_str(concat!("\"", stringify!($f), "\":"));
+                    $crate::json::JsonFields::write_json(&self.$f, out);
+                )+
+                let _ = sep; // the last field's assignment goes unread
+                out.push('}');
+            }
+
+            fn read_json(&mut self, key: &str, v: &$crate::json::Json) -> Result<(), String> {
+                self.apply_json(v).map_err(|e| format!("{key}: {e}"))
+            }
+
+            fn leaf_paths(&self, path: &str, out: &mut Vec<String>) {
+                $(
+                    let child = $crate::json::child_path(path, stringify!($f));
+                    $crate::json::JsonFields::leaf_paths(&self.$f, &child, out);
+                )+
+            }
+        }
+    };
+    (enum $T:ty) => {
+        impl $crate::json::JsonFields for $T {
+            fn write_json(&self, out: &mut String) {
+                $crate::json::write_str(out, self.as_str());
+            }
+
+            fn read_json(&mut self, key: &str, v: &$crate::json::Json) -> Result<(), String> {
+                *self = <$T>::parse(&$crate::json::expect_str(key, v)?)?;
+                Ok(())
+            }
+        }
+    };
+    (complete $T:ty: $what:literal { $($f:ident),+ $(,)? }) => {
+        $crate::json_fields!(@fields true, $T, $what, $($f),+);
+    };
+    ($T:ty: $what:literal { $($f:ident),+ $(,)? }) => {
+        $crate::json_fields!(@fields false, $T, $what, $($f),+);
+
+        impl $T {
+            /// Serialises every field as a JSON object, in
+            /// [`KEYS`](Self::KEYS) order.
+            #[must_use]
+            pub fn to_json(&self) -> String {
+                let mut out = String::new();
+                $crate::json::JsonFields::write_json(self, &mut out);
+                out
+            }
+        }
+    };
 }
 
 /// The standard error message for a key the reader does not recognise:
@@ -491,6 +731,65 @@ b""#,
         let msg = unknown_key("flux_capacitor_coefficient", &["ways"]);
         assert!(msg.contains("known keys: ways"), "{msg}");
         assert!(!msg.contains("did you mean"), "{msg}");
+    }
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Inner {
+        hist: [[u64; 2]; 2],
+        width: u32,
+    }
+    crate::json_fields!(complete Inner: "inner" { hist, width });
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Outer {
+        on: bool,
+        inner: Inner,
+        n: usize,
+    }
+    crate::json_fields!(complete Outer: "outer" { on, inner, n });
+
+    #[test]
+    fn field_lists_write_read_and_name_paths() {
+        let v = Outer { on: true, inner: Inner { hist: [[1, 2], [3, u64::MAX]], width: 7 }, n: 9 };
+        let mut text = String::new();
+        v.write_json(&mut text);
+        let want = r#"{"on":true,"inner":{"hist":[[1,2],[3,18446744073709551615]],"width":7},"n":9}"#;
+        assert_eq!(text, want);
+        let mut back = Outer::default();
+        back.apply_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, v);
+        let mut paths = Vec::new();
+        v.leaf_paths("", &mut paths);
+        assert_eq!(paths, ["on", "inner.hist", "inner.width", "n"]);
+    }
+
+    #[test]
+    fn field_list_errors_name_the_key_and_its_position() {
+        let err =
+            |text: &str| Outer::default().apply_json(&Json::parse(text).unwrap()).unwrap_err();
+        let full = r#""on":true,"n":1,"inner":{"hist":[[1,2],[3,4]],"width":7}"#;
+        assert_eq!(err("[]"), "outer must be a JSON object");
+        assert_eq!(err(r#"{"on":true,"n":1}"#), "missing key `inner`");
+        assert_eq!(
+            err(r#"{"on":true,"n":1,"inner":{"width":7}}"#),
+            "inner: missing key `hist`"
+        );
+        assert_eq!(
+            err(&format!("{{{}}}", full.replace("\"width\":7", "\"width\":4294967296"))),
+            "inner: key `width` must be an unsigned integer below 2^32 (got 4294967296)"
+        );
+        assert_eq!(
+            err(&format!("{{{}}}", full.replace("[[1,2],[3,4]]", "[[1,2]]"))),
+            "inner: key `hist` is not a 2-entry histogram"
+        );
+        assert_eq!(
+            err(&format!("{{{}}}", full.replace("[3,4]", "[3]"))),
+            "inner: `hist`[1] is not a [direct, reverse] pair"
+        );
+        let on = full.replace("true", "1");
+        assert_eq!(err(&format!("{{{on}}}")), "key `on` must be a boolean");
+        assert!(err(&format!("{{{full},\"of\":1}}")).starts_with("unknown key `of`"));
+        assert!(err(&format!("{{{}}}", full.replace("\"n\":1", "\"n\":-1"))).contains("`n`"));
     }
 
     #[test]

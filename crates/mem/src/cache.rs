@@ -66,41 +66,9 @@ impl CacheConfig {
         }
         Ok(())
     }
-
-    /// The field names [`CacheConfig::apply_json`] accepts.
-    pub const KEYS: &'static [&'static str] =
-        &["size_bytes", "line_bytes", "ways", "hit_latency"];
-
-    /// Serialises the geometry as a JSON object (every field, stable
-    /// key order; round-trips exactly through [`CacheConfig::apply_json`]).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"size_bytes":{},"line_bytes":{},"ways":{},"hit_latency":{}}}"#,
-            self.size_bytes, self.line_bytes, self.ways, self.hit_latency
-        )
-    }
-
-    /// Applies a (possibly partial) JSON object onto this geometry:
-    /// present keys overwrite, omitted keys keep their current value,
-    /// unknown keys are rejected with an error naming them.
-    pub fn apply_json(&mut self, v: &rix_isa::json::Json) -> Result<(), String> {
-        use rix_isa::json::expect_u64;
-        let rix_isa::json::Json::Obj(fields) = v else {
-            return Err("cache config must be a JSON object".to_string());
-        };
-        for (k, val) in fields {
-            match k.as_str() {
-                "size_bytes" => self.size_bytes = expect_u64(k, val)?,
-                "line_bytes" => self.line_bytes = expect_u64(k, val)?,
-                "ways" => self.ways = expect_u64(k, val)? as usize,
-                "hit_latency" => self.hit_latency = expect_u64(k, val)?,
-                other => return Err(rix_isa::json::unknown_key(other, Self::KEYS)),
-            }
-        }
-        Ok(())
-    }
 }
+
+rix_isa::json_fields!(CacheConfig: "cache config" { size_bytes, line_bytes, ways, hit_latency });
 
 #[derive(Clone, Copy, Debug, Default)]
 struct Line {
@@ -120,6 +88,8 @@ pub struct CacheStats {
     /// Number of dirty lines written back on eviction.
     pub writebacks: u64,
 }
+
+rix_isa::json_fields!(complete CacheStats: "cache stats" { hits, misses, writebacks });
 
 impl CacheStats {
     /// Miss ratio over all lookups (0 when no lookups happened).

@@ -50,55 +50,16 @@ impl Default for MemConfig {
     }
 }
 
+rix_isa::json_fields!(MemConfig: "memory config" {
+    l1i, l1d, l2, mem_latency, mshrs, write_buffer
+});
+
 impl MemConfig {
-    /// The field names [`MemConfig::apply_json`] accepts.
-    pub const KEYS: &'static [&'static str] =
-        &["l1i", "l1d", "l2", "mem_latency", "mshrs", "write_buffer"];
-
-    /// Serialises the hierarchy configuration as a JSON object (every
-    /// field, stable key order).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"l1i":{},"l1d":{},"l2":{},"mem_latency":{},"mshrs":{},"write_buffer":{}}}"#,
-            self.l1i.to_json(),
-            self.l1d.to_json(),
-            self.l2.to_json(),
-            self.mem_latency,
-            self.mshrs,
-            self.write_buffer,
-        )
-    }
-
     /// Checks that every cache level can actually be built (see
     /// [`CacheConfig::validate`]), naming the level on failure.
     pub fn validate(&self) -> Result<(), String> {
         for (name, c) in [("l1i", &self.l1i), ("l1d", &self.l1d), ("l2", &self.l2)] {
             c.validate().map_err(|e| format!("{name}: {e}"))?;
-        }
-        Ok(())
-    }
-
-    /// Applies a (possibly partial) JSON object: present keys overwrite
-    /// (nested cache objects may themselves be partial), omitted keys
-    /// keep their current value, unknown keys are rejected with an error
-    /// naming them and their position.
-    pub fn apply_json(&mut self, v: &rix_isa::json::Json) -> Result<(), String> {
-        use rix_isa::json::expect_u64;
-        let rix_isa::json::Json::Obj(fields) = v else {
-            return Err("memory config must be a JSON object".to_string());
-        };
-        for (k, val) in fields {
-            let nest = |e: String| format!("{k}: {e}");
-            match k.as_str() {
-                "l1i" => self.l1i.apply_json(val).map_err(nest)?,
-                "l1d" => self.l1d.apply_json(val).map_err(nest)?,
-                "l2" => self.l2.apply_json(val).map_err(nest)?,
-                "mem_latency" => self.mem_latency = expect_u64(k, val)?,
-                "mshrs" => self.mshrs = expect_u64(k, val)? as usize,
-                "write_buffer" => self.write_buffer = expect_u64(k, val)? as usize,
-                other => return Err(rix_isa::json::unknown_key(other, Self::KEYS)),
-            }
         }
         Ok(())
     }
@@ -126,6 +87,11 @@ pub struct MemSystemStats {
     /// Memory-bus busy cycles.
     pub membus_busy: u64,
 }
+
+rix_isa::json_fields!(complete MemSystemStats: "memory stats" {
+    l1i, l1d, l2, itlb_misses, dtlb_misses, mshr_merges, write_buffer_stalls, backside_busy,
+    membus_busy,
+});
 
 /// The full cache/TLB/bus hierarchy.
 #[derive(Clone, Debug)]

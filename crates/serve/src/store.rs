@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Every write is atomic (same-directory temp file + rename, the
-//! [`rix_dispatch`]-cache discipline), so a crash mid-write leaves the
+//! `rix_dispatch` cache discipline), so a crash mid-write leaves the
 //! previous state intact and a restarted server loads clean records.
 //! Result documents are stored and re-read as raw bytes — the store
 //! never parses or reformats them, which is what makes re-served

@@ -5,8 +5,13 @@
 //! statistics accumulated so far (every raw counter, losslessly — the
 //! figure-facing [`SimStats::to_json`] serialises derived metrics and is
 //! not invertible), and the absolute cycle count. It serialises to a
-//! single hand-rolled JSON document (schema `rix-ckpt/1`) that
+//! single JSON document (schema `rix-ckpt/1`) that
 //! `python3 -m json.tool` — and [`rix_isa::json`] — can read back.
+//!
+//! The statistics are written and read through the field lists of
+//! `SimStats` and its nested stats ([`rix_isa::json_fields!`]), so a new
+//! counter is one line in its struct's list and this format follows it;
+//! decoding is strict, and a missing or mistyped counter is an error.
 //!
 //! The contract (see [`Simulator::checkpoint`]): a session that
 //! checkpoints and keeps running is byte-identical to one that saves the
@@ -39,10 +44,9 @@
 //! ```
 
 use crate::stats::SimStats;
-use rix_integration::IntegrationStats;
-use rix_isa::json::Json;
+use rix_isa::json::{expect_bool, Json, JsonFields};
 use rix_isa::{ArchState, Program};
-use rix_mem::{CacheStats, Cycle, MemSystemStats};
+use rix_mem::Cycle;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -102,13 +106,17 @@ impl Checkpoint {
     /// Serialises the checkpoint as a `rix-ckpt/1` JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"schema":"rix-ckpt/1","cycle":{},"program_hash":{},"stats":{},"arch":{}}}"#,
-            self.cycle,
-            self.program_hash,
-            stats_to_json(&self.stats),
-            self.arch.to_json(),
-        )
+        let mut out = String::with_capacity(4096);
+        let _ = write!(
+            out,
+            r#"{{"schema":"rix-ckpt/1","cycle":{},"program_hash":{},"stats":"#,
+            self.cycle, self.program_hash,
+        );
+        self.stats.write_json(&mut out);
+        out.push_str(r#","arch":"#);
+        out.push_str(&self.arch.to_json());
+        out.push('}');
+        out
     }
 
     /// Parses a checkpoint serialised by [`Checkpoint::to_json`].
@@ -121,7 +129,7 @@ impl Checkpoint {
         Ok(Self {
             cycle: v.req_u64("cycle")?,
             program_hash: v.req_u64("program_hash")?,
-            stats: stats_from_json(v.req("stats")?)?,
+            stats: read_stats(&v)?,
             arch: ArchState::from_json_value(v.req("arch")?)?,
         })
     }
@@ -150,12 +158,11 @@ impl Checkpoint {
 /// [`RunResult::to_json`]: crate::RunResult::to_json
 #[must_use]
 pub fn result_to_json(r: &crate::RunResult) -> String {
-    format!(
-        r#"{{"halted":{},"timed_out":{},"stats":{}}}"#,
-        r.halted,
-        r.timed_out,
-        stats_to_json(&r.stats),
-    )
+    let mut out = String::with_capacity(1024);
+    let _ = write!(out, r#"{{"halted":{},"timed_out":{},"stats":"#, r.halted, r.timed_out);
+    r.stats.write_json(&mut out);
+    out.push('}');
+    out
 }
 
 /// Parses a [`result_to_json`] document back into the identical
@@ -164,183 +171,20 @@ pub fn result_to_json(r: &crate::RunResult) -> String {
 ///
 /// [`RunResult`]: crate::RunResult
 pub fn result_from_json(v: &Json) -> Result<crate::RunResult, String> {
-    let flag = |key: &str| -> Result<bool, String> {
-        v.req(key)?.as_bool().ok_or_else(|| format!("key `{key}` must be a boolean"))
-    };
+    let flag = |key: &str| expect_bool(key, v.req(key)?);
     Ok(crate::RunResult {
         halted: flag("halted")?,
         timed_out: flag("timed_out")?,
-        stats: stats_from_json(v.req("stats")?)?,
+        stats: read_stats(v)?,
     })
 }
 
-// ----- lossless SimStats serialisation ----------------------------------
-
-fn hist_json<const N: usize>(h: &[[u64; 2]; N]) -> String {
-    let cells: Vec<String> = h.iter().map(|[d, r]| format!("[{d},{r}]")).collect();
-    format!("[{}]", cells.join(","))
-}
-
-fn hist_from_json<const N: usize>(v: &Json, key: &str) -> Result<[[u64; 2]; N], String> {
-    let arr = v
-        .req(key)?
-        .as_arr()
-        .filter(|a| a.len() == N)
-        .ok_or_else(|| format!("key `{key}` is not a {N}-entry histogram"))?;
-    let mut out = [[0u64; 2]; N];
-    for (i, cell) in arr.iter().enumerate() {
-        let pair = cell.as_arr().filter(|p| p.len() == 2);
-        let (d, r) = pair
-            .and_then(|p| Some((p[0].as_u64()?, p[1].as_u64()?)))
-            .ok_or_else(|| format!("`{key}`[{i}] is not a [direct, reverse] pair"))?;
-        out[i] = [d, r];
-    }
-    Ok(out)
-}
-
-fn cache_json(c: CacheStats) -> String {
-    format!(r#"{{"hits":{},"misses":{},"writebacks":{}}}"#, c.hits, c.misses, c.writebacks)
-}
-
-fn cache_from_json(v: &Json, key: &str) -> Result<CacheStats, String> {
-    let c = v.req(key)?;
-    Ok(CacheStats {
-        hits: c.req_u64("hits")?,
-        misses: c.req_u64("misses")?,
-        writebacks: c.req_u64("writebacks")?,
-    })
-}
-
-/// Serialises **every raw counter** of [`SimStats`] (unlike the
-/// figure-facing [`SimStats::to_json`], which emits derived metrics and
-/// drops some raw sums).
-fn stats_to_json(s: &SimStats) -> String {
-    let mut out = String::with_capacity(1024);
-    let _ = write!(
-        out,
-        concat!(
-            r#"{{"cycles":{},"retired":{},"fetched":{},"executed":{},"#,
-            r#""loads_executed":{},"loads_retired":{},"stores_retired":{},"#,
-            r#""cond_branches_retired":{},"branch_mispredicts":{},"#,
-            r#""resolution_latency_sum":{},"squashes_branch":{},"#,
-            r#""squashes_memorder":{},"squashes_diva":{},"rs_occupancy_sum":{},"#,
-            r#""rob_occupancy_sum":{},"stalls_preg":{},"stalls_rob":{},"#,
-            r#""stalls_rs":{},"stalls_lsq":{},"stalls_writebuf":{}"#
-        ),
-        s.cycles,
-        s.retired,
-        s.fetched,
-        s.executed,
-        s.loads_executed,
-        s.loads_retired,
-        s.stores_retired,
-        s.cond_branches_retired,
-        s.branch_mispredicts,
-        s.resolution_latency_sum,
-        s.squashes_branch,
-        s.squashes_memorder,
-        s.squashes_diva,
-        s.rs_occupancy_sum,
-        s.rob_occupancy_sum,
-        s.stalls_preg,
-        s.stalls_rob,
-        s.stalls_rs,
-        s.stalls_lsq,
-        s.stalls_writebuf,
-    );
-    let i = &s.integration;
-    let _ = write!(
-        out,
-        concat!(
-            r#","integration":{{"direct":{},"reverse":{},"retired":{},"#,
-            r#""mis_integrations":{},"load_mis_integrations":{},"#,
-            r#""register_mis_integrations":{},"suppressed":{},"#,
-            r#""by_type":{},"by_distance":{},"by_status":{},"by_refcount":{}}}"#
-        ),
-        i.direct,
-        i.reverse,
-        i.retired,
-        i.mis_integrations,
-        i.load_mis_integrations,
-        i.register_mis_integrations,
-        i.suppressed,
-        hist_json(&i.by_type),
-        hist_json(&i.by_distance),
-        hist_json(&i.by_status),
-        hist_json(&i.by_refcount),
-    );
-    let m = &s.mem;
-    let _ = write!(
-        out,
-        concat!(
-            r#","mem":{{"l1i":{},"l1d":{},"l2":{},"itlb_misses":{},"#,
-            r#""dtlb_misses":{},"mshr_merges":{},"write_buffer_stalls":{},"#,
-            r#""backside_busy":{},"membus_busy":{}}}}}"#
-        ),
-        cache_json(m.l1i),
-        cache_json(m.l1d),
-        cache_json(m.l2),
-        m.itlb_misses,
-        m.dtlb_misses,
-        m.mshr_merges,
-        m.write_buffer_stalls,
-        m.backside_busy,
-        m.membus_busy,
-    );
-    out
-}
-
-fn stats_from_json(v: &Json) -> Result<SimStats, String> {
-    let iv = v.req("integration")?;
-    let integration = IntegrationStats {
-        direct: iv.req_u64("direct")?,
-        reverse: iv.req_u64("reverse")?,
-        retired: iv.req_u64("retired")?,
-        mis_integrations: iv.req_u64("mis_integrations")?,
-        load_mis_integrations: iv.req_u64("load_mis_integrations")?,
-        register_mis_integrations: iv.req_u64("register_mis_integrations")?,
-        suppressed: iv.req_u64("suppressed")?,
-        by_type: hist_from_json(iv, "by_type")?,
-        by_distance: hist_from_json(iv, "by_distance")?,
-        by_status: hist_from_json(iv, "by_status")?,
-        by_refcount: hist_from_json(iv, "by_refcount")?,
-    };
-    let mv = v.req("mem")?;
-    let mem = MemSystemStats {
-        l1i: cache_from_json(mv, "l1i")?,
-        l1d: cache_from_json(mv, "l1d")?,
-        l2: cache_from_json(mv, "l2")?,
-        itlb_misses: mv.req_u64("itlb_misses")?,
-        dtlb_misses: mv.req_u64("dtlb_misses")?,
-        mshr_merges: mv.req_u64("mshr_merges")?,
-        write_buffer_stalls: mv.req_u64("write_buffer_stalls")?,
-        backside_busy: mv.req_u64("backside_busy")?,
-        membus_busy: mv.req_u64("membus_busy")?,
-    };
-    Ok(SimStats {
-        cycles: v.req_u64("cycles")?,
-        retired: v.req_u64("retired")?,
-        fetched: v.req_u64("fetched")?,
-        executed: v.req_u64("executed")?,
-        loads_executed: v.req_u64("loads_executed")?,
-        loads_retired: v.req_u64("loads_retired")?,
-        stores_retired: v.req_u64("stores_retired")?,
-        cond_branches_retired: v.req_u64("cond_branches_retired")?,
-        branch_mispredicts: v.req_u64("branch_mispredicts")?,
-        resolution_latency_sum: v.req_u64("resolution_latency_sum")?,
-        squashes_branch: v.req_u64("squashes_branch")?,
-        squashes_memorder: v.req_u64("squashes_memorder")?,
-        squashes_diva: v.req_u64("squashes_diva")?,
-        rs_occupancy_sum: v.req_u64("rs_occupancy_sum")?,
-        rob_occupancy_sum: v.req_u64("rob_occupancy_sum")?,
-        stalls_preg: v.req_u64("stalls_preg")?,
-        stalls_rob: v.req_u64("stalls_rob")?,
-        stalls_rs: v.req_u64("stalls_rs")?,
-        stalls_lsq: v.req_u64("stalls_lsq")?,
-        stalls_writebuf: v.req_u64("stalls_writebuf")?,
-        integration,
-        mem,
-    })
+/// The lossless [`SimStats`] under `v`'s `"stats"` key: every counter
+/// must be present (see `SimStats`'s field list in [`crate::stats`]).
+fn read_stats(v: &Json) -> Result<SimStats, String> {
+    let mut stats = SimStats::default();
+    stats.read_json("stats", v.req("stats")?)?;
+    Ok(stats)
 }
 
 #[cfg(test)]

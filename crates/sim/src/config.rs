@@ -8,11 +8,18 @@
 //! issuing up to 2 simple-integer, 2 complex/FP, 1 load and 1 store per
 //! cycle. The §3.5 reduced-complexity design points (`RS`, `IW`, `IW+RS`)
 //! are provided as presets.
+//!
+//! Every config struct lists its fields once, in a
+//! [`rix_isa::json_fields!`] invocation beside it. That list generates
+//! its `KEYS`, `to_json` and `apply_json` and, for the whole tree,
+//! [`SimConfig::field_paths`], so a new config field is one line in its
+//! struct's list: specs, sweep axes and cache keys pick it up from there.
 
 use rix_frontend::PredictorConfig;
 use rix_integration::IntegrationConfig;
-use rix_isa::json::Json;
+use rix_isa::json::{Json, JsonFields};
 use rix_mem::MemConfig;
+use std::sync::OnceLock;
 
 /// Per-cycle issue limits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,52 +60,9 @@ impl Default for IssueConfig {
     }
 }
 
-impl IssueConfig {
-    /// The field names [`IssueConfig::apply_json`] accepts.
-    pub const KEYS: &'static [&'static str] =
-        &["width", "simple", "complex", "load", "store", "shared_ldst"];
-
-    /// Serialises the issue limits as a JSON object (every field, stable
-    /// key order).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"width":{},"simple":{},"complex":{},"load":{},"store":{},"shared_ldst":{}}}"#,
-            self.width, self.simple, self.complex, self.load, self.store, self.shared_ldst
-        )
-    }
-
-    /// Applies a (possibly partial) JSON object: present keys overwrite,
-    /// omitted keys keep their current value, unknown keys are rejected
-    /// with an error naming them.
-    pub fn apply_json(&mut self, v: &Json) -> Result<(), String> {
-        let Json::Obj(fields) = v else {
-            return Err("issue config must be a JSON object".to_string());
-        };
-        for (k, val) in fields {
-            match k.as_str() {
-                "width" => self.width = req_usize(k, val)?,
-                "simple" => self.simple = req_usize(k, val)?,
-                "complex" => self.complex = req_usize(k, val)?,
-                "load" => self.load = req_usize(k, val)?,
-                "store" => self.store = req_usize(k, val)?,
-                "shared_ldst" => {
-                    self.shared_ldst = val
-                        .as_bool()
-                        .ok_or_else(|| format!("key `{k}` must be a boolean"))?;
-                }
-                other => return Err(rix_isa::json::unknown_key(other, Self::KEYS)),
-            }
-        }
-        Ok(())
-    }
-}
-
-use rix_isa::json::expect_u64 as req_u64;
-
-fn req_usize(key: &str, v: &Json) -> Result<usize, String> {
-    Ok(req_u64(key, v)? as usize)
-}
+rix_isa::json_fields!(IssueConfig: "issue config" {
+    width, simple, complex, load, store, shared_ldst
+});
 
 /// Out-of-order core geometry and pipeline depths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -167,77 +131,12 @@ impl CoreConfig {
     pub fn iw3_rs20() -> Self {
         Self { rs_entries: 20, issue: IssueConfig::reduced(), ..Self::default() }
     }
-
-    /// The field names [`CoreConfig::apply_json`] accepts.
-    pub const KEYS: &'static [&'static str] = &[
-        "fetch_width",
-        "rename_width",
-        "retire_width",
-        "rob_entries",
-        "lsq_entries",
-        "rs_entries",
-        "issue",
-        "front_delay",
-        "sched_delay",
-        "regread_delay",
-        "diva_delay",
-        "fetch_queue",
-    ];
-
-    /// Serialises the core geometry as a JSON object (every field,
-    /// stable key order).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                r#"{{"fetch_width":{},"rename_width":{},"retire_width":{},"#,
-                r#""rob_entries":{},"lsq_entries":{},"rs_entries":{},"issue":{},"#,
-                r#""front_delay":{},"sched_delay":{},"regread_delay":{},"#,
-                r#""diva_delay":{},"fetch_queue":{}}}"#
-            ),
-            self.fetch_width,
-            self.rename_width,
-            self.retire_width,
-            self.rob_entries,
-            self.lsq_entries,
-            self.rs_entries,
-            self.issue.to_json(),
-            self.front_delay,
-            self.sched_delay,
-            self.regread_delay,
-            self.diva_delay,
-            self.fetch_queue,
-        )
-    }
-
-    /// Applies a (possibly partial) JSON object (the nested `issue`
-    /// object may itself be partial): present keys overwrite, omitted
-    /// keys keep their current value, unknown keys are rejected with an
-    /// error naming them.
-    pub fn apply_json(&mut self, v: &Json) -> Result<(), String> {
-        let Json::Obj(fields) = v else {
-            return Err("core config must be a JSON object".to_string());
-        };
-        for (k, val) in fields {
-            match k.as_str() {
-                "fetch_width" => self.fetch_width = req_usize(k, val)?,
-                "rename_width" => self.rename_width = req_usize(k, val)?,
-                "retire_width" => self.retire_width = req_usize(k, val)?,
-                "rob_entries" => self.rob_entries = req_usize(k, val)?,
-                "lsq_entries" => self.lsq_entries = req_usize(k, val)?,
-                "rs_entries" => self.rs_entries = req_usize(k, val)?,
-                "issue" => self.issue.apply_json(val).map_err(|e| format!("issue: {e}"))?,
-                "front_delay" => self.front_delay = req_u64(k, val)?,
-                "sched_delay" => self.sched_delay = req_u64(k, val)?,
-                "regread_delay" => self.regread_delay = req_u64(k, val)?,
-                "diva_delay" => self.diva_delay = req_u64(k, val)?,
-                "fetch_queue" => self.fetch_queue = req_usize(k, val)?,
-                other => return Err(rix_isa::json::unknown_key(other, Self::KEYS)),
-            }
-        }
-        Ok(())
-    }
 }
+
+rix_isa::json_fields!(CoreConfig: "core config" {
+    fetch_width, rename_width, retire_width, rob_entries, lsq_entries, rs_entries, issue,
+    front_delay, sched_delay, regread_delay, diva_delay, fetch_queue,
+});
 
 /// Complete simulator configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -268,6 +167,10 @@ impl Default for SimConfig {
         }
     }
 }
+
+rix_isa::json_fields!(SimConfig: "simulator config" {
+    core, mem, integration, predictor, num_pregs, stack_top
+});
 
 impl SimConfig {
     /// The no-integration baseline processor.
@@ -322,49 +225,6 @@ impl SimConfig {
     }
 
     // ----- JSON round trip ----------------------------------------------
-
-    /// The field names [`SimConfig::apply_json`] accepts.
-    pub const KEYS: &'static [&'static str] =
-        &["core", "mem", "integration", "predictor", "num_pregs", "stack_top"];
-
-    /// Serialises the complete configuration as a JSON object. The
-    /// serialisation is **exact**: [`SimConfig::from_json`] of the output
-    /// equals the input, field for field, for any configuration.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"core":{},"mem":{},"integration":{},"predictor":{},"num_pregs":{},"stack_top":{}}}"#,
-            self.core.to_json(),
-            self.mem.to_json(),
-            self.integration.to_json(),
-            self.predictor.to_json(),
-            self.num_pregs,
-            self.stack_top,
-        )
-    }
-
-    /// Applies a (possibly partial) JSON object onto this configuration:
-    /// present keys overwrite (nested objects may themselves be
-    /// partial), omitted keys keep their current value, unknown keys are
-    /// rejected with an error naming them and their position.
-    pub fn apply_json(&mut self, v: &Json) -> Result<(), String> {
-        let Json::Obj(fields) = v else {
-            return Err("simulator config must be a JSON object".to_string());
-        };
-        for (k, val) in fields {
-            let nest = |e: String| format!("{k}: {e}");
-            match k.as_str() {
-                "core" => self.core.apply_json(val).map_err(nest)?,
-                "mem" => self.mem.apply_json(val).map_err(nest)?,
-                "integration" => self.integration.apply_json(val).map_err(nest)?,
-                "predictor" => self.predictor.apply_json(val).map_err(nest)?,
-                "num_pregs" => self.num_pregs = req_usize(k, val)?,
-                "stack_top" => self.stack_top = req_u64(k, val)?,
-                other => return Err(rix_isa::json::unknown_key(other, Self::KEYS)),
-            }
-        }
-        Ok(())
-    }
 
     /// Parses a configuration from JSON text: [`SimConfig::default`]
     /// plus the document's (possibly partial) overrides. `{}` is the
@@ -432,79 +292,34 @@ impl SimConfig {
     // ----- field paths --------------------------------------------------
 
     /// Every leaf field of the configuration tree as a dotted path
-    /// (`"integration.it_entries"`, `"core.issue.width"`, …) — the
-    /// address space parameter axes sweep over.
-    pub const FIELD_PATHS: &'static [&'static str] = &[
-        "core.fetch_width",
-        "core.rename_width",
-        "core.retire_width",
-        "core.rob_entries",
-        "core.lsq_entries",
-        "core.rs_entries",
-        "core.issue.width",
-        "core.issue.simple",
-        "core.issue.complex",
-        "core.issue.load",
-        "core.issue.store",
-        "core.issue.shared_ldst",
-        "core.front_delay",
-        "core.sched_delay",
-        "core.regread_delay",
-        "core.diva_delay",
-        "core.fetch_queue",
-        "mem.l1i.size_bytes",
-        "mem.l1i.line_bytes",
-        "mem.l1i.ways",
-        "mem.l1i.hit_latency",
-        "mem.l1d.size_bytes",
-        "mem.l1d.line_bytes",
-        "mem.l1d.ways",
-        "mem.l1d.hit_latency",
-        "mem.l2.size_bytes",
-        "mem.l2.line_bytes",
-        "mem.l2.ways",
-        "mem.l2.hit_latency",
-        "mem.mem_latency",
-        "mem.mshrs",
-        "mem.write_buffer",
-        "integration.enabled",
-        "integration.general_reuse",
-        "integration.index",
-        "integration.reverse",
-        "integration.suppression",
-        "integration.it_entries",
-        "integration.it_ways",
-        "integration.gen_bits",
-        "integration.count_bits",
-        "integration.lisp_entries",
-        "integration.lisp_ways",
-        "integration.pipeline_depth",
-        "predictor.bimodal_entries",
-        "predictor.gshare_entries",
-        "predictor.chooser_entries",
-        "predictor.history_bits",
-        "num_pregs",
-        "stack_top",
-    ];
+    /// (`"integration.it_entries"`, `"core.issue.width"`, …), in JSON
+    /// order — the address space parameter axes sweep over. Derived once
+    /// from the field lists, so a new config field is a new path.
+    pub fn field_paths() -> &'static [String] {
+        static PATHS: OnceLock<Vec<String>> = OnceLock::new();
+        PATHS.get_or_init(|| {
+            let mut paths = Vec::new();
+            Self::default().leaf_paths("", &mut paths);
+            paths
+        })
+    }
 
     /// Resolves a field path: a full dotted path resolves to itself, a
     /// bare leaf name (`"it_entries"`) resolves when it is unambiguous.
     /// Unknown or ambiguous names produce an error naming the
     /// candidates.
     pub fn resolve_path(path: &str) -> Result<&'static str, String> {
-        if let Some(full) = Self::FIELD_PATHS.iter().find(|p| **p == path) {
+        let paths = Self::field_paths();
+        if let Some(full) = paths.iter().find(|p| *p == path) {
             return Ok(full);
         }
         let suffix = format!(".{path}");
-        let matches: Vec<&'static str> = Self::FIELD_PATHS
-            .iter()
-            .copied()
-            .filter(|p| p.ends_with(&suffix))
-            .collect();
+        let matches: Vec<&'static str> =
+            paths.iter().filter(|p| p.ends_with(&suffix)).map(String::as_str).collect();
         match matches[..] {
             [full] => Ok(full),
             [] => {
-                let closest = Self::FIELD_PATHS
+                let closest = paths
                     .iter()
                     .min_by_key(|p| {
                         rix_isa::json::edit_distance(
@@ -515,7 +330,7 @@ impl SimConfig {
                     .expect("path list is non-empty");
                 Err(format!(
                     "unknown config field `{path}` (did you mean `{closest}`?); \
-                     see SimConfig::FIELD_PATHS for the full list"
+                     see SimConfig::field_paths() for the full list"
                 ))
             }
             _ => Err(format!(
@@ -656,11 +471,11 @@ mod tests {
 
     #[test]
     fn field_paths_cover_every_serialised_leaf() {
-        // Every FIELD_PATHS entry must be settable, and the number of
+        // Every field_paths() entry must be settable, and the number of
         // leaves must match what to_json emits (guards against a new
         // config field missing from the path list).
         let mut c = SimConfig::default();
-        for path in SimConfig::FIELD_PATHS {
+        for path in SimConfig::field_paths() {
             let leaf = path.rsplit('.').next().unwrap();
             let probe = match leaf {
                 "shared_ldst" | "enabled" | "general_reuse" => Json::Bool(true),
@@ -674,9 +489,9 @@ mod tests {
         let leaves = SimConfig::default().to_json().matches(':').count()
             - SimConfig::default().to_json().matches(r#"":{""#).count();
         assert_eq!(
-            SimConfig::FIELD_PATHS.len(),
+            SimConfig::field_paths().len(),
             leaves,
-            "FIELD_PATHS and to_json disagree on the number of leaf fields"
+            "field_paths() and to_json disagree on the number of leaf fields"
         );
     }
 }

@@ -24,7 +24,7 @@
 //! * [`workloads`] — synthetic SPEC2000int-like benchmark programs,
 //! * [`dispatch`] — multi-process experiment dispatch: the
 //!   coordinator/worker pool and the content-addressed trial cache,
-//! * [`bench`] — the experiment layer: the thread-parallel [`Sweep`]
+//! * [`bench`](mod@bench) — the experiment layer: the thread-parallel [`Sweep`]
 //!   grid runner and the figure binaries' shared [`Harness`].
 //!
 //! [`Sweep`]: bench::Sweep
@@ -275,6 +275,7 @@
 //! is scheduled.
 //!
 //! [`DispatchOptions::workers`]: bench::DispatchOptions
+//! [`WarmupMode::Checkpoint`]: bench::WarmupMode::Checkpoint
 //!
 //! ## Lint a generated workload, then run it
 //!

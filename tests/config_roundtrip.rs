@@ -1,10 +1,12 @@
 //! Property test: `SimConfig` ⇄ JSON is exact.
 //!
-//! Random field mutations — every leaf of [`SimConfig::FIELD_PATHS`],
+//! Random field mutations — every leaf of [`SimConfig::field_paths`],
 //! including enums, bools and 64-bit integers — round-trip through
 //! `to_json` / `from_json` with structural equality and byte-identical
-//! re-serialisation. Alongside, the error paths: unknown keys and bad
-//! enum names are rejected with messages naming the offender.
+//! re-serialisation, and `to_json` is already canonical (`Json::dump`
+//! of its parse gives the same text back). Alongside, the error paths:
+//! unknown keys, bad enum names and integers too wide for their field
+//! are rejected with messages naming the offender.
 
 use proptest::prelude::*;
 use rix::isa::json::Json;
@@ -19,14 +21,14 @@ fn value_for(leaf: &str, x: u64) -> Json {
             Json::Str(["off", "stack_pointer", "all_invertible"][x as usize % 3].into())
         }
         "suppression" => Json::Str(["lisp", "oracle"][x as usize % 2].into()),
-        // u64-typed leaves (stack_top, delays) keep full range; the
-        // usize/u32 leaves truncate on apply, so bound the probe to stay
-        // representable (round-tripping is about serialisation, not
-        // machine buildability).
-        "stack_top" => Json::Num(x.to_string()),
-        _ => Json::Num((x % (1 << 31)).to_string()),
+        // Every integer leaf gets the full u64 range: round-tripping is
+        // about serialisation, not machine buildability.
+        _ => Json::Num(x.to_string()),
     }
 }
+
+/// The leaves stored as `u32`; every other integer leaf holds any `u64`.
+const U32_LEAVES: &[&str] = &["gen_bits", "count_bits", "history_bits"];
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -34,17 +36,29 @@ proptest! {
     #[test]
     fn simconfig_json_round_trip_is_exact(
         muts in proptest::collection::vec(
-            (0usize..SimConfig::FIELD_PATHS.len(), any::<u64>()),
+            (0usize..SimConfig::field_paths().len(), any::<u64>(), any::<bool>()),
             0..12,
         )
     ) {
         let mut cfg = SimConfig::default();
-        for (pi, x) in muts {
-            let path = SimConfig::FIELD_PATHS[pi];
+        for (pi, x, narrow) in muts {
+            let path = &SimConfig::field_paths()[pi];
             let leaf = path.rsplit('.').next().expect("paths are non-empty");
-            cfg.set_path(path, &value_for(leaf, x)).expect("valid probe value");
+            // Half the probes stay below 2^32 so the u32 leaves are hit
+            // in range as well as out of it.
+            let x = if narrow { x >> 32 } else { x };
+            let before = cfg;
+            let res = cfg.set_path(path, &value_for(leaf, x));
+            if U32_LEAVES.contains(&leaf) && x > u64::from(u32::MAX) {
+                let err = res.expect_err("an out-of-range u32 is rejected, not truncated");
+                prop_assert!(err.contains(&format!("`{leaf}`")), "{}", err);
+                prop_assert_eq!(cfg, before, "a rejected value leaves the config as it was");
+            } else {
+                res.expect("valid probe value");
+            }
         }
         let json = cfg.to_json();
+        prop_assert_eq!(Json::parse(&json).expect("parses").dump(), json.clone(), "canonical");
         let back = SimConfig::from_json(&json).expect("own serialisation parses");
         prop_assert_eq!(back, cfg, "structural equality after the round trip");
         prop_assert_eq!(back.to_json(), json, "byte-identical re-serialisation");
@@ -60,7 +74,29 @@ fn every_preset_round_trips_exactly() {
         assert_eq!(back.to_json(), cfg.to_json(), "preset `{name}` serialisation");
         // And the emitted JSON is well-formed for external tooling.
         assert!(Json::parse(&cfg.to_json()).is_ok());
+        // It is already canonical, so cache keys can splice it as it is.
+        assert_eq!(Json::parse(&cfg.to_json()).unwrap().dump(), cfg.to_json(), "`{name}`");
     }
+}
+
+#[test]
+fn narrow_integers_are_range_checked_not_truncated() {
+    // 2^32 + 4 used to wrap to 4, pass `validate` and run another machine.
+    for (doc, key) in [
+        (r#"{"integration":{"gen_bits":4294967300}}"#, "gen_bits"),
+        (r#"{"integration":{"count_bits":4294967296}}"#, "count_bits"),
+        (r#"{"predictor":{"history_bits":18446744073709551615}}"#, "history_bits"),
+    ] {
+        let err = SimConfig::from_json(doc).unwrap_err();
+        let want = format!("key `{key}` must be an unsigned integer below 2^32");
+        assert!(err.contains(&want), "{err}");
+        assert!(err.contains("(got "), "names the value: {err}");
+    }
+    let top = SimConfig::from_json(r#"{"integration":{"gen_bits":4294967295}}"#).unwrap();
+    assert_eq!(top.integration.gen_bits, u32::MAX, "the largest u32 is in range");
+    // A number no integer field can hold is a type error, as before.
+    let err = SimConfig::from_json(r#"{"num_pregs":18446744073709551616}"#).unwrap_err();
+    assert_eq!(err, "key `num_pregs` must be an unsigned integer");
 }
 
 #[test]
