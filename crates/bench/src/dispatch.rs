@@ -42,7 +42,9 @@
 //! own content (rather than the whole spec's fingerprint) is what makes
 //! invalidation exact: editing one arm re-simulates only that arm's
 //! cells, and unrelated specs sharing identical cells share entries.
-//! Only the misses are dispatched, and each fresh result is stored the
+//! Keys and hits are one pass over the grid on the sweep's threads: each
+//! hit is decoded while its entry is read, with no JSON tree (see
+//! [`rix_dispatch::cache`]). Only the misses are dispatched, and each fresh result is stored the
 //! moment it arrives (decoded first, so a malformed payload is never
 //! written): a run that fails late keeps every cell it finished, and
 //! workers never name a key — only results for the cells they were
@@ -88,7 +90,8 @@
 
 use crate::{Harness, Row, Sweep, Trial, WarmupMode};
 use rix_dispatch::{PoolSummary, ResultCache, WorkerStat, Workers, WORKER_ARG};
-use rix_isa::json::{write_str, Json};
+use rix_isa::json::{field_index, pull_u64, write_str, Json, Pull};
+use rix_sim::checkpoint::{result_from_pull, result_to_json};
 use rix_sim::{RunResult, SimConfig, StopWhen};
 use rix_workloads::Benchmark;
 use std::time::Duration;
@@ -447,32 +450,59 @@ fn plan_from_json(v: &Json) -> Result<Sweep, String> {
 
 // ----- payloads ---------------------------------------------------------
 
-/// A cell's payload: its lossless result, plus its wall clock when
-/// given. Only stdio workers send one; cache entries and remote
-/// payloads carry no host timing, so a cell's bytes do not depend on
-/// where it ran.
-fn payload_json(result: &RunResult, wall: Option<Duration>) -> Result<Json, String> {
-    let mut fields = Vec::with_capacity(2);
+/// The keys of a cell payload, in the order [`payload_json`] writes them.
+const PAYLOAD_KEYS: &[&str] = &["wall_us", "result"];
+
+/// A cell's payload as compact JSON text: `{["wall_us":N,]"result":…}`,
+/// its lossless result ([`result_to_json`]'s text, spliced in as it
+/// is) plus its wall clock when given. Only stdio workers send one;
+/// cache entries and remote payloads carry no host timing, so a cell's
+/// bytes do not depend on where it ran.
+fn payload_json(result: &RunResult, wall: Option<Duration>) -> String {
+    use std::fmt::Write as _;
+    let result = result_to_json(result);
+    let mut out = String::with_capacity(result.len() + 40);
+    out.push('{');
     if let Some(wall) = wall {
         let wall_us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
-        fields.push(("wall_us".into(), Json::Num(wall_us.to_string())));
+        let _ = write!(out, r#""wall_us":{wall_us},"#);
     }
-    let result = Json::parse(&rix_sim::checkpoint::result_to_json(result))?;
-    fields.push(("result".into(), result));
-    Ok(Json::Obj(fields))
+    out.push_str(r#""result":"#);
+    out.push_str(&result);
+    out.push('}');
+    out
 }
 
-/// Grid cell `i` of `sweep` from its payload. Without a `wall_us` (a
-/// cache hit, a remote cell) the trial reports zero wall time.
-fn trial_from_payload(sweep: &Sweep, i: usize, payload: &Json) -> Result<Trial, String> {
+/// Grid cell `i` of `sweep` from its payload text, read with no tree.
+fn trial_from_payload(sweep: &Sweep, i: usize, payload: &str) -> Result<Trial, String> {
+    let mut p = Pull::new(payload);
+    let trial = trial_from_pull(sweep, i, &mut p)?;
+    p.end()?;
+    Ok(trial)
+}
+
+/// Grid cell `i` of `sweep` from the payload `p` holds next. `result`
+/// is required and `wall_us` optional, each at most once, and no other
+/// key is allowed. Without a `wall_us` (a cache hit, a remote cell) the
+/// trial reports zero wall time.
+fn trial_from_pull(sweep: &Sweep, i: usize, p: &mut Pull<'_>) -> Result<Trial, String> {
+    if !p.begin_obj()? {
+        return Err("a cell payload must be a JSON object".to_string());
+    }
+    let (mut result, mut wall) = (None, None);
+    while let Some(k) = p.key()? {
+        let repeated = match field_index(PAYLOAD_KEYS, &k, 0)? {
+            0 => wall.replace(Duration::from_micros(pull_u64(&k, p)?)).is_some(),
+            _ => result.replace(result_from_pull(p)?).is_some(),
+        };
+        if repeated {
+            return Err(format!("duplicate key `{k}`"));
+        }
+    }
+    let result = result.ok_or("missing key `result`")?;
     let ncfg = sweep.configs.len();
-    let result = rix_sim::checkpoint::result_from_json(payload.req("result")?)?;
-    let wall = payload
-        .get("wall_us")
-        .and_then(Json::as_u64)
-        .map_or(Duration::ZERO, Duration::from_micros);
     let (bench, label) = (sweep.benchmarks[i / ncfg].name, &sweep.configs[i % ncfg].0);
-    Ok(Trial { bench, config_label: label.clone(), result, wall })
+    Ok(Trial { bench, config_label: label.clone(), result, wall: wall.unwrap_or_default() })
 }
 
 // ----- cache keys -------------------------------------------------------
@@ -526,31 +556,40 @@ fn cell_descriptor(
     out
 }
 
-/// Every cell's cache key, in grid order. Each arm's config and the
-/// stop condition are encoded to canonical text once per sweep, not
-/// once per cell.
-fn cell_keys(sweep: &Sweep) -> Result<Vec<String>, String> {
-    let ckpt_hashes = checkpoint_hashes(sweep)?;
-    // `SimConfig::to_json` is already canonical (compact, in field
-    // order), so its text is spliced as it is.
-    let configs: Vec<String> = sweep.configs.iter().map(|(_, cfg)| cfg.to_json()).collect();
-    let canonical = |text: String| Json::parse(&text).map(|v| v.dump());
-    let stop = sweep.stop.as_ref().map(|s| canonical(s.to_json())).transpose()?;
-    let mut keys = Vec::with_capacity(sweep.benchmarks.len() * configs.len());
-    for (bench, ckpt_hash) in sweep.benchmarks.iter().zip(&ckpt_hashes) {
-        for ((label, _), config) in sweep.configs.iter().zip(&configs) {
-            let desc = cell_descriptor(
-                sweep,
-                bench,
-                label,
-                config,
-                stop.as_deref(),
-                ckpt_hash.as_deref(),
-            );
-            keys.push(ResultCache::key(&desc));
-        }
+/// The cache keys of a sweep's cells. What cells share is encoded to
+/// canonical text once per sweep, not once per cell: each arm's config,
+/// the stop condition, and each row's checkpoint hash.
+struct CellKeys<'s> {
+    sweep: &'s Sweep,
+    configs: Vec<String>,
+    stop: Option<String>,
+    ckpt_hashes: Vec<Option<String>>,
+}
+
+impl<'s> CellKeys<'s> {
+    fn new(sweep: &'s Sweep) -> Result<Self, String> {
+        let ckpt_hashes = checkpoint_hashes(sweep)?;
+        // `SimConfig::to_json` is already canonical (compact, in field
+        // order), so its text is spliced as it is.
+        let configs = sweep.configs.iter().map(|(_, cfg)| cfg.to_json()).collect();
+        let canonical = |text: String| Json::parse(&text).map(|v| v.dump());
+        let stop = sweep.stop.as_ref().map(|s| canonical(s.to_json())).transpose()?;
+        Ok(Self { sweep, configs, stop, ckpt_hashes })
     }
-    Ok(keys)
+
+    /// Grid cell `i`'s key.
+    fn key(&self, i: usize) -> String {
+        let (bi, ai) = (i / self.configs.len(), i % self.configs.len());
+        let desc = cell_descriptor(
+            self.sweep,
+            &self.sweep.benchmarks[bi],
+            &self.sweep.configs[ai].0,
+            &self.configs[ai],
+            self.stop.as_deref(),
+            self.ckpt_hashes[bi].as_deref(),
+        );
+        ResultCache::key(&desc)
+    }
 }
 
 /// Under checkpoint warm-up, each snapshot file's content hash goes into
@@ -609,20 +648,23 @@ pub(crate) fn run_sweep_distributed(
         }
     };
     let total = sweep.cells();
-    let cache = match &opts.cache {
-        Some(dir) => Some((ResultCache::open(dir)?, cell_keys(sweep)?)),
-        None => None,
-    };
-    let mut slots: Vec<Option<Trial>> = (0..total).map(|_| None).collect();
-    let mut misses = Vec::new();
-    for (i, slot) in slots.iter_mut().enumerate() {
-        *slot = cache.as_ref().and_then(|(store, keys)| {
-            trial_from_payload(sweep, i, &store.load(&keys[i])?).ok()
-        });
-        if slot.is_none() {
-            misses.push(i);
+    let cache = opts.cache.as_deref().map(ResultCache::open).transpose()?;
+    // One pass over the grid on the sweep's threads: each cell's key,
+    // and on a hit its trial, decoded while the entry is read.
+    let (keys, mut slots): (Vec<String>, Vec<Option<Trial>>) = match &cache {
+        Some(store) => {
+            let keys = CellKeys::new(sweep)?;
+            crate::par_map(total, sweep.threads, |i| {
+                let key = keys.key(i);
+                let hit = store.load_with(&key, |p| trial_from_pull(sweep, i, p));
+                (key, hit)
+            })
+            .into_iter()
+            .unzip()
         }
-    }
+        None => (Vec::new(), (0..total).map(|_| None).collect()),
+    };
+    let misses: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
     let hits = total - misses.len();
     let mut progress = CellProgress { total, done: hits, cached: hits, degraded: 0 };
     emit_progress(progress);
@@ -630,8 +672,8 @@ pub(crate) fn run_sweep_distributed(
     // cache (encoded once, under the key computed above), slotted, and
     // reported.
     let mut finish = |i: usize, trial: Trial, degraded: bool| -> Result<(), String> {
-        if let Some((store, keys)) = &cache {
-            store.store(&keys[i], &payload_json(&trial.result, None)?)?;
+        if let Some(store) = &cache {
+            store.store_text(&keys[i], &payload_json(&trial.result, None))?;
         }
         slots[i] = Some(trial);
         progress.done += 1;
@@ -675,7 +717,7 @@ fn run_pool(
     let cells: Vec<u64> = misses.iter().map(|&i| i as u64).collect();
     let on_result = |pos: usize, payload: Json| {
         let i = misses[pos];
-        finish(i, trial_from_payload(sweep, i, &payload)?, false)
+        finish(i, trial_from_payload(sweep, i, &payload.dump())?, false)
     };
     let outcome = rix_dispatch::dispatch_cells(workers, &plan_json(sweep), &cells, &cfg, on_result)
         .map_err(|e| describe_pool_error(e, sweep))?;
@@ -766,7 +808,7 @@ fn cell_executor(wall: bool) -> impl FnMut(&Json, u64) -> Result<Json, String> {
             slot => slot.insert(sweep.prepare_row(bi)?),
         };
         let trial = sweep.run_cell(row, i);
-        payload_json(&trial.result, wall.then_some(trial.wall))
+        Json::parse(&payload_json(&trial.result, wall.then_some(trial.wall)))
     }
 }
 
@@ -881,7 +923,8 @@ mod tests {
         )))
         .expect("fig4 spec parses");
         let sweep = spec.sweep(&Harness::default());
-        let keys = cell_keys(&sweep).expect("keys");
+        let keys = CellKeys::new(&sweep).expect("keys");
+        let keys: Vec<String> = (0..sweep.cells()).map(|i| keys.key(i)).collect();
         assert_eq!(keys.len(), 16 * 9);
         assert_eq!(keys[0], "96ffb8d2b4e7a8fd98715db1ecf01d2a", "bzip2/base");
         assert_eq!(keys[143], "0d72d8695d66fdb1afbd2a3f647906e6", "vpr.r/+reverse*");
@@ -972,7 +1015,8 @@ mod tests {
             let mut execute = cell_executor(true);
             for (i, want) in reference.iter().enumerate() {
                 let payload = execute(&init, i as u64).expect("cell runs");
-                let trial = trial_from_payload(&sweep, i, &payload).expect("payload decodes");
+                let trial =
+                    trial_from_payload(&sweep, i, &payload.dump()).expect("payload decodes");
                 assert_eq!(&trial.to_json(), want, "{name}: worker executor, cell {i}");
             }
             let err = execute(&init, 99).unwrap_err();
@@ -1025,10 +1069,28 @@ mod tests {
     fn payload_round_trip_is_lossless() {
         let sweep = small_sweep();
         let trials = sweep.try_run().expect("sweep runs");
-        let payload = payload_json(&trials[0].result, Some(trials[0].wall)).expect("serialises");
+        let payload = payload_json(&trials[0].result, Some(trials[0].wall));
         let back = trial_from_payload(&sweep, 0, &payload).expect("parses");
         assert_eq!(back.result, trials[0].result);
         assert_eq!(back.to_json(), trials[0].to_json());
+        let wall_us = u64::try_from(trials[0].wall.as_micros()).expect("fits");
+        assert_eq!(back.wall, Duration::from_micros(wall_us));
+        // The spliced text is the payload built as a tree and dumped.
+        let tree = Json::Obj(vec![
+            ("wall_us".into(), Json::Num(wall_us.to_string())),
+            ("result".into(), Json::parse(&result_to_json(&trials[0].result)).expect("parses")),
+        ]);
+        assert_eq!(payload, tree.dump());
+        let cached = payload_json(&trials[0].result, None);
+        assert_eq!(trial_from_payload(&sweep, 0, &cached).expect("parses").wall, Duration::ZERO);
+        // Strict: a payload with a stray, repeated or missing key fails.
+        for bad in [
+            cached.replacen('{', r#"{"note":1,"#, 1),
+            cached.replacen('{', r#"{"wall_us":1,"wall_us":2,"#, 1),
+            r#"{"wall_us":1}"#.to_string(),
+        ] {
+            assert!(trial_from_payload(&sweep, 0, &bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -479,14 +479,20 @@ impl Trial {
     /// JSON object for this trial record.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from(r#"{"bench":"#);
-        write_str(&mut out, self.bench);
-        out.push_str(r#","config":"#);
-        write_str(&mut out, &self.config_label);
-        out.push_str(r#","result":"#);
-        out.push_str(&self.result.to_json());
-        out.push('}');
+        let mut out = String::with_capacity(TRIAL_JSON_BYTES);
+        self.to_json_into(&mut out);
         out
+    }
+
+    /// Appends [`Trial::to_json`]'s bytes to `out`.
+    pub fn to_json_into(&self, out: &mut String) {
+        out.push_str(r#"{"bench":"#);
+        write_str(out, self.bench);
+        out.push_str(r#","config":"#);
+        write_str(out, &self.config_label);
+        out.push_str(r#","result":"#);
+        self.result.to_json_into(out);
+        out.push('}');
     }
 }
 
@@ -494,8 +500,26 @@ impl Trial {
 /// binary).
 #[must_use]
 pub fn trials_json(trials: &[Trial]) -> String {
-    let body: Vec<String> = trials.iter().map(Trial::to_json).collect();
-    format!("[\n{}\n]", body.join(",\n"))
+    let mut out = String::with_capacity(trials.len() * TRIAL_JSON_BYTES + 4);
+    write_trials(&mut out, trials);
+    out
+}
+
+/// About how long one trial record is: a fig4 record is 0.9–1 KB. The
+/// result document reserves this much per trial up front.
+const TRIAL_JSON_BYTES: usize = 1024;
+
+/// Appends [`trials_json`]'s bytes to `out`, writing every record in
+/// place.
+fn write_trials(out: &mut String, trials: &[Trial]) {
+    out.push_str("[\n");
+    for (i, t) in trials.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
+        }
+        t.to_json_into(out);
+    }
+    out.push_str("\n]");
 }
 
 /// The `rix-exp-result/1` document: the canonical output of `exp run
@@ -513,21 +537,30 @@ pub fn result_doc(
     cache: Option<&DispatchReport>,
     dispatch: Option<&DispatchReport>,
 ) -> String {
-    use rix_isa::json::Json;
-    let mut sections = cache.map_or_else(String::new, |r| {
-        format!("\n  \"cache\":{{\"hits\":{},\"misses\":{}}},", r.cache_hits, r.simulated)
-    });
-    if let Some(r) = dispatch {
-        sections.push_str(&format!("\n  \"dispatch\":{},", r.to_json().dump()));
+    use std::fmt::Write as _;
+    let spec_json = spec.to_json();
+    // The whole document, a caller's trailing newline included, fits.
+    let mut out = String::with_capacity(spec_json.len() + trials.len() * TRIAL_JSON_BYTES + 512);
+    out.push_str("{\n  \"schema\":\"rix-exp-result/1\",\n  \"name\":");
+    match &spec.name {
+        Some(name) => write_str(&mut out, name),
+        None => out.push_str("null"),
     }
-    format!(
-        "{{\n  \"schema\":\"rix-exp-result/1\",\n  \"name\":{},\n  \
-         \"spec_fingerprint\":\"{}\",\n  \"spec\":{},{sections}\n  \"trials\":{}\n}}",
-        spec.name.as_ref().map_or_else(|| "null".to_string(), |n| Json::Str(n.clone()).dump()),
-        spec.fingerprint_hex(),
-        spec.to_json(),
-        trials_json(trials),
-    )
+    let _ = write!(out, ",\n  \"spec_fingerprint\":\"{}\",\n  \"spec\":", spec.fingerprint_hex());
+    out.push_str(&spec_json);
+    out.push(',');
+    if let Some(r) = cache {
+        let _ = write!(out, "\n  \"cache\":{{\"hits\":{},\"misses\":{}}},", r.cache_hits, r.simulated);
+    }
+    if let Some(r) = dispatch {
+        out.push_str("\n  \"dispatch\":");
+        r.to_json().dump_into(&mut out);
+        out.push(',');
+    }
+    out.push_str("\n  \"trials\":");
+    write_trials(&mut out, trials);
+    out.push_str("\n}");
+    out
 }
 
 /// How many (benchmark, seed) lint verdicts [`lint_findings`] keeps.
@@ -988,28 +1021,11 @@ impl Sweep {
         wanted.sort_unstable();
         wanted.dedup();
         // Rows are independent and near-uniform in cost (program build
-        // plus any fast-forward), so a static partition suffices; the
-        // calling thread takes the first share.
-        let chunk = wanted.len().div_ceil(threads.clamp(1, wanted.len()));
-        let mut prepared: Vec<Option<Result<Row, String>>> = wanted.iter().map(|_| None).collect();
-        let prepare = |bis: &[usize], slots: &mut [Option<Result<Row, String>>]| {
-            for (&bi, slot) in bis.iter().zip(slots) {
-                *slot = Some(self.prepare_row(bi));
-            }
-        };
-        std::thread::scope(|scope| {
-            let mut shares = wanted.chunks(chunk).zip(prepared.chunks_mut(chunk));
-            let first = shares.next();
-            for (bis, slots) in shares {
-                scope.spawn(move || prepare(bis, slots));
-            }
-            if let Some((bis, slots)) = first {
-                prepare(bis, slots);
-            }
-        });
+        // plus any fast-forward), so contiguous shares suffice.
+        let prepared = par_map(wanted.len(), threads, |k| self.prepare_row(wanted[k]));
         let mut rows: Vec<Option<Row>> = self.benchmarks.iter().map(|_| None).collect();
         for (bi, row) in wanted.into_iter().zip(prepared) {
-            rows[bi] = Some(row.expect("every share is prepared")?);
+            rows[bi] = Some(row?);
         }
         let row = |i: usize| rows[i / ncfg].as_ref().expect("every touched row is prepared");
 
@@ -1036,6 +1052,35 @@ impl Sweep {
             rx.into_iter().try_for_each(|(i, trial)| on_done(i, trial))
         })
     }
+}
+
+/// `f(i)` for every `i` in `0..n`, in index order, computed on up to
+/// `threads` threads, the calling thread included. Each thread takes
+/// one contiguous share, which suits work that is near-uniform in cost
+/// (preparing grid rows, looking cells up in the trial cache). With one
+/// thread, or one item, nothing is spawned. Like [`Sweep::run_cells`],
+/// it pins the allocator's thresholds first ([`pin_malloc_thresholds`]).
+pub(crate) fn par_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    pin_malloc_thresholds();
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let chunk = n.div_ceil(threads.clamp(1, n.max(1))).max(1);
+    let fill = |start: usize, slots: &mut [Option<T>]| {
+        for (k, slot) in slots.iter_mut().enumerate() {
+            *slot = Some(f(start + k));
+        }
+    };
+    std::thread::scope(|scope| {
+        let mut shares = out.chunks_mut(chunk).enumerate();
+        let first = shares.next();
+        for (c, slots) in shares {
+            let fill = &fill;
+            scope.spawn(move || fill(c * chunk, slots));
+        }
+        if let Some((_, slots)) = first {
+            fill(0, slots);
+        }
+    });
+    out.into_iter().map(|t| t.expect("every share is filled")).collect()
 }
 
 /// Fixes glibc's mmap and trim thresholds at 128 KiB, once per process.

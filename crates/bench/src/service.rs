@@ -124,7 +124,9 @@ impl Engine for ExpEngine {
         // No cache/dispatch sections in the stored document: the bytes
         // must match `exp run --json` (which has neither by default) —
         // the report travels separately, for run status.
-        let doc = format!("{}\n", result_doc(&spec, &trials, None, None));
+        // `result_doc` reserves room for the newline.
+        let mut doc = result_doc(&spec, &trials, None, None);
+        doc.push('\n');
         Ok(RunOutput { doc, dispatch: Some(report.to_json().dump()) })
     }
 }

@@ -10,13 +10,34 @@
 //! winner with identical content.
 //!
 //! The cache is **forgiving on read, strict on write**: any unreadable,
-//! unparsable, truncated or mismatched entry is a miss — the cell is
-//! simply re-simulated and the entry rewritten — never an error. A
-//! cache can be deleted, rsynced, or half-written by a crashed run
+//! unparsable, truncated, oversized or mismatched entry is a miss — the
+//! cell is simply re-simulated and the entry rewritten — never an error.
+//! A cache can be deleted, rsynced, or half-written by a crashed run
 //! without poisoning anything.
+//!
+//! ## An entry, written and read as text
+//!
+//! An entry file is one line: the compact JSON object
+//! `{"schema":"rix-trial-cache/1","key":"<key>","payload":<payload>}`
+//! and a newline. Both sides work on text, and no tree is built:
+//!
+//! * [`ResultCache::store_text`] splices the payload's compact text
+//!   between a fixed prefix and `}`, so an entry is byte-identical to
+//!   the same object built as a [`Json`] tree and dumped.
+//! * [`ResultCache::load_with`] reads at most [`MAX_ENTRY_BYTES`] (a
+//!   real entry is 1–2 KB) and walks the entry once with a [`Pull`]
+//!   reader, checking the whole document's syntax, the `schema` and the
+//!   recorded `key`. At the payload it hands the reader to the caller's
+//!   decoder, so a hit is decoded in the same pass (a trial result with
+//!   `rix_sim::checkpoint::result_from_pull`) and never copied.
+//!
+//! [`ResultCache::load_text`] returns the payload's text as it appears
+//! in the file, and [`ResultCache::store`] and [`ResultCache::load`]
+//! are the two operations over a [`Json`] payload.
 
 use crate::hash::fnv128_hex;
-use rix_isa::json::Json;
+use rix_isa::json::{write_str, Json, Pull};
+use std::io::Read;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
@@ -25,14 +46,21 @@ use std::time::{Duration, SystemTime};
 /// The on-disk entry schema.
 pub const CACHE_SCHEMA: &str = "rix-trial-cache/1";
 
+/// The largest entry file [`ResultCache::load_with`] reads. A real
+/// entry is 1–2 KB; a larger file is a miss (and `corrupt` in
+/// [`ResultCache::stats`]), and no more than this many bytes of it are
+/// ever read.
+pub const MAX_ENTRY_BYTES: u64 = 1 << 20;
+
 /// Aggregate statistics over a cache directory's committed entries —
 /// what `exp cache stats` reports for a long-lived service cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Entries that pass the full load checks (schema, recorded key).
     pub entries: usize,
-    /// `*.json` files that fail them — unparsable, truncated, wrong
-    /// schema, or filed under the wrong key. Read as misses at lookup
+    /// `*.json` files that fail them — unparsable, truncated, larger
+    /// than [`MAX_ENTRY_BYTES`], wrong schema, or filed under the wrong
+    /// key. Read as misses at lookup
     /// time; counted here so an operator can see rot.
     pub corrupt: usize,
     /// Total size of all `*.json` entry files, valid and corrupt.
@@ -135,24 +163,49 @@ impl ResultCache {
 
     /// Looks up `key`, returning the stored payload on a hit. Every
     /// failure mode — no entry, unreadable file, corrupt JSON, a
-    /// truncated write from a crashed run, an entry recorded under a
-    /// different schema or key, a key not shaped like
-    /// [`ResultCache::key`]'s — is a miss (`None`), never an error.
+    /// truncated write from a crashed run, a file over
+    /// [`MAX_ENTRY_BYTES`], an entry recorded under a different schema
+    /// or key, a key not shaped like [`ResultCache::key`]'s — is a miss
+    /// (`None`), never an error.
     #[must_use]
     pub fn load(&self, key: &str) -> Option<Json> {
+        Json::parse(&self.load_text(key)?).ok()
+    }
+
+    /// [`ResultCache::load`] without a tree: the stored payload's JSON
+    /// text, exactly as it appears in the entry.
+    #[must_use]
+    pub fn load_text(&self, key: &str) -> Option<String> {
+        self.load_with(key, |p| p.raw().map(str::to_string))
+    }
+
+    /// Looks `key` up and reads the payload with `decode` during the
+    /// one pass over the entry that checks its syntax, `schema` and
+    /// `key` (see the [module docs](self)): no tree, and no copy of the
+    /// payload. `decode` must read exactly one value from the reader it
+    /// is given. A miss, as for [`ResultCache::load`], or an error from
+    /// `decode` is `None`.
+    pub fn load_with<T>(
+        &self,
+        key: &str,
+        decode: impl FnOnce(&mut Pull<'_>) -> Result<T, String>,
+    ) -> Option<T> {
         if !Self::valid_key(key) {
             return None;
         }
-        let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        let v = Json::parse(text.trim_end()).ok()?;
-        if v.get("schema")?.as_str()? != CACHE_SCHEMA {
+        let file = std::fs::File::open(self.entry_path(key)).ok()?;
+        let len = file.metadata().ok()?.len();
+        if len > MAX_ENTRY_BYTES {
             return None;
         }
-        if v.get("key")?.as_str()? != key {
+        // The file may grow after the size check: read one byte past
+        // the cap at most, and refuse a text that reached it.
+        let mut text = String::with_capacity(usize::try_from(len).ok()?);
+        file.take(MAX_ENTRY_BYTES + 1).read_to_string(&mut text).ok()?;
+        if text.len() as u64 > MAX_ENTRY_BYTES {
             return None;
         }
-        let Json::Obj(fields) = v else { return None };
-        fields.into_iter().find_map(|(k, payload)| (k == "payload").then_some(payload))
+        read_entry(text.trim_end(), key, decode)
     }
 
     /// Stores `payload` under `key`, atomically: the entry is written
@@ -161,17 +214,30 @@ impl ResultCache {
     /// complete new one. A key not shaped like [`ResultCache::key`]'s
     /// is refused.
     pub fn store(&self, key: &str, payload: &Json) -> Result<(), String> {
+        self.store_text(key, &payload.dump())
+    }
+
+    /// [`ResultCache::store`] of a payload given as its compact JSON
+    /// text ([`Json::dump`]'s form), spliced into the entry as it is. A
+    /// payload that is not one JSON value is refused, so a malformed
+    /// entry is never written.
+    pub fn store_text(&self, key: &str, payload: &str) -> Result<(), String> {
         if !Self::valid_key(key) {
             return Err(format!("invalid cache key {key:?} (expected 32 lowercase hex digits)"));
         }
-        let entry = Json::Obj(vec![
-            ("schema".into(), Json::Str(CACHE_SCHEMA.into())),
-            ("key".into(), Json::Str(key.into())),
-            ("payload".into(), payload.clone()),
-        ]);
+        let mut p = Pull::new(payload);
+        p.skip().and_then(|()| p.end()).map_err(|e| format!("invalid cache payload: {e}"))?;
+        let mut entry = String::with_capacity(payload.len() + 96);
+        entry.push_str(r#"{"schema":"#);
+        write_str(&mut entry, CACHE_SCHEMA);
+        entry.push_str(r#","key":"#);
+        write_str(&mut entry, key);
+        entry.push_str(r#","payload":"#);
+        entry.push_str(payload);
+        entry.push_str("}\n");
         let tmp = self.dir.join(format!(".{key}.{}.tmp", std::process::id()));
         let target = self.entry_path(key);
-        std::fs::write(&tmp, format!("{}\n", entry.dump()))
+        std::fs::write(&tmp, entry)
             .map_err(|e| format!("cannot write cache entry `{}`: {e}", tmp.display()))?;
         std::fs::rename(&tmp, &target).map_err(|e| {
             // Clean the orphan up; the rename error is the one to report.
@@ -205,7 +271,7 @@ impl ResultCache {
         let mut stats = CacheStats::default();
         for (key, path) in self.entry_files()? {
             stats.bytes += std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            if self.load(&key).is_some() {
+            if self.load_text(&key).is_some() {
                 stats.entries += 1;
             } else {
                 stats.corrupt += 1;
@@ -234,6 +300,45 @@ impl ResultCache {
         }
         Ok(removed)
     }
+}
+
+/// The payload of `entry`, a whole entry document, read with `decode`
+/// if the entry is one filed under `key`: an object whose first
+/// `schema` is [`CACHE_SCHEMA`], whose first `key` is `key`, and that
+/// has a `payload`. The first of each key counts, later repeats and
+/// other keys are read past, and the whole document must be
+/// well-formed JSON.
+fn read_entry<T>(
+    entry: &str,
+    key: &str,
+    decode: impl FnOnce(&mut Pull<'_>) -> Result<T, String>,
+) -> Option<T> {
+    let mut p = Pull::new(entry);
+    if !p.begin_obj().ok()? {
+        return None;
+    }
+    let (mut schema, mut recorded) = (false, false);
+    let (mut decode, mut payload) = (Some(decode), None);
+    while let Some(k) = p.key().ok()? {
+        match &*k {
+            "schema" if !schema => {
+                schema = p.str().ok()?? == CACHE_SCHEMA;
+                if !schema {
+                    return None;
+                }
+            }
+            "key" if !recorded => {
+                recorded = p.str().ok()?? == key;
+                if !recorded {
+                    return None;
+                }
+            }
+            "payload" if payload.is_none() => payload = Some(decode.take()?(&mut p).ok()?),
+            _ => p.skip().ok()?,
+        }
+    }
+    p.end().ok()?;
+    payload.filter(|_| schema && recorded)
 }
 
 #[cfg(test)]
@@ -414,6 +519,68 @@ mod tests {
         cache.store(&good, &payload).unwrap();
         assert_eq!(cache.load(&good), Some(payload));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn text_entries_are_the_tree_entries_byte_for_byte() {
+        let cache = ResultCache::open(scratch_dir("text")).unwrap();
+        let key = ResultCache::key("a text cell");
+        let payload = Json::parse(r#"{"result":{"halted":true,"n":[1,2]},"s":"a\"b"}"#).unwrap();
+        cache.store_text(&key, &payload.dump()).unwrap();
+        let entry = Json::Obj(vec![
+            ("schema".into(), Json::Str(CACHE_SCHEMA.into())),
+            ("key".into(), Json::Str(key.clone())),
+            ("payload".into(), payload.clone()),
+        ]);
+        let path = cache.dir().join(format!("{key}.json"));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), format!("{}\n", entry.dump()));
+        assert_eq!(cache.load_text(&key), Some(payload.dump()));
+        assert_eq!(cache.load(&key), Some(payload.clone()));
+        // A hand-edited entry (spaced out, keys reordered, an extra key)
+        // still loads, and its payload text comes back as written.
+        let spaced = format!(
+            "{{ \"note\" : [1] , \"payload\" : {{ \"v\" : 1 }} , \"key\" : \"{key}\" , \"schema\" : \"{CACHE_SCHEMA}\" }}\n"
+        );
+        std::fs::write(&path, spaced).unwrap();
+        assert_eq!(cache.load_text(&key).as_deref(), Some(r#"{ "v" : 1 }"#));
+        assert_eq!(cache.load(&key), Some(Json::parse(r#"{"v":1}"#).unwrap()));
+        // A payload that is not one JSON value is never written.
+        for bad in ["", "{", "1 2", r#"{"a":}"#] {
+            let err = cache.store_text(&key, bad).unwrap_err();
+            assert!(err.contains("invalid cache payload"), "{bad:?}: {err}");
+        }
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn an_oversized_entry_is_a_corrupt_miss_and_never_read_whole() {
+        let cache = ResultCache::open(scratch_dir("oversized")).unwrap();
+        let payload = Json::parse(r#"{"v":1}"#).unwrap();
+        let key = ResultCache::key("a huge cell");
+        cache.store(&key, &payload).unwrap();
+        let path = cache.dir().join(format!("{key}.json"));
+        // A sparse 1 GiB file: no disk blocks, and reading it whole would
+        // take seconds and a gigabyte of memory.
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(1 << 30).unwrap();
+        drop(file);
+        let started = std::time::Instant::now();
+        assert_eq!(cache.load_text(&key), None);
+        assert_eq!(cache.load(&key), None);
+        let stats = cache.stats().unwrap();
+        assert!(started.elapsed() < std::time::Duration::from_secs(2), "{:?}", started.elapsed());
+        assert_eq!((stats.entries, stats.corrupt), (0, 1), "{stats:?}");
+        // Just past the cap is a miss too; a rewrite heals it.
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(MAX_ENTRY_BYTES + 1)
+            .unwrap();
+        assert_eq!(cache.load(&key), None);
+        cache.store(&key, &payload).unwrap();
+        assert_eq!(cache.load(&key), Some(payload));
+        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]

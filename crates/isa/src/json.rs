@@ -16,6 +16,10 @@
 //!   duplicate keys),
 //! * errors carry a byte offset, enough to debug a corrupt file.
 //!
+//! Underneath is one scanner, the [`Pull`] reader: [`Json::parse`] is
+//! it building a tree, and hot decoders (the `json_fields!` types, the
+//! trial-cache entries) drive it directly and build none.
+//!
 //! The same reader decodes every wire and file format in the workspace,
 //! including request bodies from the network, so [`Json::parse`] keeps
 //! this contract:
@@ -39,7 +43,7 @@
 //! assert_eq!(cell.as_arr().unwrap()[1].as_u64(), Some(u64::MAX));
 //! ```
 
-use std::fmt::Write as _;
+use std::borrow::Cow;
 
 /// How deeply arrays and objects may nest in a document [`Json::parse`]
 /// accepts. The deepest document the workspace writes (an experiment
@@ -68,13 +72,9 @@ impl Json {
     /// trailing garbage is an error). See the [module docs](self) for
     /// the time, depth and error contract.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
+        let mut p = Pull::new(text);
+        let v = p.value()?;
+        p.end()?;
         Ok(v)
     }
 
@@ -224,11 +224,38 @@ pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Appends `n` in decimal: the bytes of `write!(out, "{n}")`, without
+/// the formatting machinery, which dominates writing a counter record.
+pub fn write_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        // `n % 10` is a single digit.
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).unwrap_or_default());
+}
+
 /// The value at object key `key` as an exact `u64`, with the standard
 /// type-mismatch message — the shared scalar reader of every
 /// hand-rolled config parser in the workspace.
 pub fn expect_u64(key: &str, v: &Json) -> Result<u64, String> {
-    v.as_u64().ok_or_else(|| format!("key `{key}` must be an unsigned integer"))
+    v.as_u64().ok_or_else(|| not_u64(key))
+}
+
+/// [`expect_u64`] over a pull reader: the next value, the value of
+/// object key `key`, as an exact `u64`.
+pub fn pull_u64(key: &str, p: &mut Pull<'_>) -> Result<u64, String> {
+    p.uint()?.ok_or_else(|| not_u64(key))
+}
+
+fn not_u64(key: &str) -> String {
+    format!("key `{key}` must be an unsigned integer")
 }
 
 /// As [`expect_u64`], for booleans.
@@ -241,10 +268,9 @@ pub fn expect_str(key: &str, v: &Json) -> Result<String, String> {
     v.as_str().map(str::to_string).ok_or_else(|| format!("key `{key}` must be a string"))
 }
 
-/// As [`expect_u64`], for a narrower integer type: a value that does
-/// not fit is an error naming the key, never a truncation.
-fn expect_narrow<T: TryFrom<u64>>(key: &str, v: &Json) -> Result<T, String> {
-    let n = expect_u64(key, v)?;
+/// `n`, the value of key `key`, as a narrower integer type: a value
+/// that does not fit is an error naming the key, never a truncation.
+fn narrow<T: TryFrom<u64>>(key: &str, n: u64) -> Result<T, String> {
     T::try_from(n).map_err(|_| {
         let bits = 8 * std::mem::size_of::<T>();
         format!("key `{key}` must be an unsigned integer below 2^{bits} (got {n})")
@@ -262,6 +288,11 @@ pub trait JsonFields {
     /// name `key`; a struct prefixes its fields' errors with `"<key>: "`.
     fn read_json(&mut self, key: &str, v: &Json) -> Result<(), String>;
 
+    /// [`read_json`](Self::read_json) from the value `p` holds next,
+    /// with no tree: it accepts exactly the values `read_json` accepts
+    /// and words its errors the same way.
+    fn read_pull(&mut self, key: &str, p: &mut Pull<'_>) -> Result<(), String>;
+
     /// Appends the dotted path of every leaf under `path` to `out`: a
     /// leaf is `path` itself, a struct recurses into its fields in
     /// order.
@@ -272,33 +303,48 @@ pub trait JsonFields {
 
 impl JsonFields for u64 {
     fn write_json(&self, out: &mut String) {
-        let _ = write!(out, "{self}");
+        write_u64(out, *self);
     }
 
     fn read_json(&mut self, key: &str, v: &Json) -> Result<(), String> {
         *self = expect_u64(key, v)?;
         Ok(())
     }
+
+    fn read_pull(&mut self, key: &str, p: &mut Pull<'_>) -> Result<(), String> {
+        *self = pull_u64(key, p)?;
+        Ok(())
+    }
 }
 
 impl JsonFields for usize {
     fn write_json(&self, out: &mut String) {
-        let _ = write!(out, "{self}");
+        write_u64(out, *self as u64);
     }
 
     fn read_json(&mut self, key: &str, v: &Json) -> Result<(), String> {
-        *self = expect_narrow(key, v)?;
+        *self = narrow(key, expect_u64(key, v)?)?;
+        Ok(())
+    }
+
+    fn read_pull(&mut self, key: &str, p: &mut Pull<'_>) -> Result<(), String> {
+        *self = narrow(key, pull_u64(key, p)?)?;
         Ok(())
     }
 }
 
 impl JsonFields for u32 {
     fn write_json(&self, out: &mut String) {
-        let _ = write!(out, "{self}");
+        write_u64(out, u64::from(*self));
     }
 
     fn read_json(&mut self, key: &str, v: &Json) -> Result<(), String> {
-        *self = expect_narrow(key, v)?;
+        *self = narrow(key, expect_u64(key, v)?)?;
+        Ok(())
+    }
+
+    fn read_pull(&mut self, key: &str, p: &mut Pull<'_>) -> Result<(), String> {
+        *self = narrow(key, pull_u64(key, p)?)?;
         Ok(())
     }
 }
@@ -312,15 +358,23 @@ impl JsonFields for bool {
         *self = expect_bool(key, v)?;
         Ok(())
     }
+
+    fn read_pull(&mut self, key: &str, p: &mut Pull<'_>) -> Result<(), String> {
+        *self = p.bool()?.ok_or_else(|| format!("key `{key}` must be a boolean"))?;
+        Ok(())
+    }
 }
 
 /// A histogram of `[direct, reverse]` count pairs, as `[[d,r],…]`.
 impl<const N: usize> JsonFields for [[u64; 2]; N] {
     fn write_json(&self, out: &mut String) {
         out.push('[');
-        for (i, [d, r]) in self.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}[{d},{r}]");
+        for (i, &[d, r]) in self.iter().enumerate() {
+            out.push_str(if i == 0 { "[" } else { ",[" });
+            write_u64(out, d);
+            out.push(',');
+            write_u64(out, r);
+            out.push(']');
         }
         out.push(']');
     }
@@ -339,6 +393,41 @@ impl<const N: usize> JsonFields for [[u64; 2]; N] {
         }
         Ok(())
     }
+
+    fn read_pull(&mut self, key: &str, p: &mut Pull<'_>) -> Result<(), String> {
+        let wrong_len = || format!("key `{key}` is not a {N}-entry histogram");
+        if !p.begin_arr()? {
+            return Err(wrong_len());
+        }
+        for (i, slot) in self.iter_mut().enumerate() {
+            if !p.more()? {
+                return Err(wrong_len());
+            }
+            *slot = pull_pair(p)?.ok_or_else(|| format!("`{key}`[{i}] is not a [direct, reverse] pair"))?;
+        }
+        if p.more()? {
+            return Err(wrong_len());
+        }
+        Ok(())
+    }
+}
+
+/// The `[d, r]` pair `p` holds next, or `None` if the value is not one.
+fn pull_pair(p: &mut Pull<'_>) -> Result<Option<[u64; 2]>, String> {
+    if !p.begin_arr()? {
+        return Ok(None);
+    }
+    let mut cell = [0; 2];
+    for n in &mut cell {
+        if !p.more()? {
+            return Ok(None);
+        }
+        match p.uint()? {
+            Some(v) => *n = v,
+            None => return Ok(None),
+        }
+    }
+    Ok(if p.more()? { None } else { Some(cell) })
 }
 
 /// The dotted path of field `key` inside the value at `path` (`""` is
@@ -363,9 +452,13 @@ pub fn child_path(path: &str, key: &str) -> String {
 ///   not an object is ``"<what> must be a JSON object"``.
 /// * `json_fields!(complete Type: "what" { … })` — a lossless counter
 ///   encoding: `KEYS` and `apply_json` as above, except that a missing
-///   key is an error, never a kept value. It is written with
+///   or repeated key is an error, never a kept value. It is written with
 ///   [`JsonFields::write_json`]; no `to_json` is generated, so a
 ///   hand-written view of that name can live beside it.
+///
+/// Both struct forms also get `apply_pull`, `apply_json` over a
+/// [`Pull`] reader instead of a tree: the same rules, the same
+/// messages, and no allocation per field.
 /// * `json_fields!(enum Type)` — an enum with `as_str(&self) -> &str`
 ///   and `parse(&str) -> Result<Self, String>`, encoded as its name.
 ///
@@ -385,6 +478,10 @@ pub fn child_path(path: &str, key: &str) -> String {
 /// let mut paths = Vec::new();
 /// g.leaf_paths("l1", &mut paths);
 /// assert_eq!(paths, ["l1.sets", "l1.ways", "l1.lru"]);
+///
+/// let mut p = rix_isa::json::Pull::new(r#"{"lru":true}"#);
+/// g.apply_pull(&mut p).unwrap();
+/// assert_eq!(g.to_json(), r#"{"sets":64,"ways":4,"lru":true}"#);
 /// ```
 #[macro_export]
 macro_rules! json_fields {
@@ -414,6 +511,45 @@ macro_rules! json_fields {
                     if let Some(k) = Self::KEYS.iter().find(|k| v.get(k).is_none()) {
                         return Err(format!("missing key `{k}`"));
                     }
+                    // Every key is known and present, so a longer list
+                    // repeats one.
+                    if let Some(k) = $crate::json::repeated_key(fields, Self::KEYS.len()) {
+                        return Err(format!("duplicate key `{k}`"));
+                    }
+                }
+                Ok(())
+            }
+
+            /// [`apply_json`](Self::apply_json) from the object `p`
+            /// holds next, building no tree: the same keys are
+            /// accepted, and errors read the same.
+            pub fn apply_pull(&mut self, p: &mut $crate::json::Pull<'_>) -> Result<(), String> {
+                if !p.begin_obj()? {
+                    return Err(concat!($what, " must be a JSON object").to_string());
+                }
+                let mut seen = [false; <$T>::KEYS.len()];
+                let mut next = 0;
+                while let Some(k) = p.key()? {
+                    let at = $crate::json::field_index(Self::KEYS, &k, next)?;
+                    if $complete && seen[at] {
+                        return Err(format!("duplicate key `{k}`"));
+                    }
+                    seen[at] = true;
+                    next = at + 1;
+                    // Field `at` of the list reads the value.
+                    let mut field = 0;
+                    $(
+                        if field == at {
+                            $crate::json::JsonFields::read_pull(&mut self.$f, &k, p)?;
+                        }
+                        field += 1;
+                    )+
+                    let _ = field; // the last field's increment goes unread
+                }
+                if $complete {
+                    if let Some(at) = seen.iter().position(|seen| !seen) {
+                        return Err(format!("missing key `{}`", Self::KEYS[at]));
+                    }
                 }
                 Ok(())
             }
@@ -437,6 +573,14 @@ macro_rules! json_fields {
                 self.apply_json(v).map_err(|e| format!("{key}: {e}"))
             }
 
+            fn read_pull(
+                &mut self,
+                key: &str,
+                p: &mut $crate::json::Pull<'_>,
+            ) -> Result<(), String> {
+                self.apply_pull(p).map_err(|e| format!("{key}: {e}"))
+            }
+
             fn leaf_paths(&self, path: &str, out: &mut Vec<String>) {
                 $(
                     let child = $crate::json::child_path(path, stringify!($f));
@@ -453,6 +597,16 @@ macro_rules! json_fields {
 
             fn read_json(&mut self, key: &str, v: &$crate::json::Json) -> Result<(), String> {
                 *self = <$T>::parse(&$crate::json::expect_str(key, v)?)?;
+                Ok(())
+            }
+
+            fn read_pull(
+                &mut self,
+                key: &str,
+                p: &mut $crate::json::Pull<'_>,
+            ) -> Result<(), String> {
+                let name = p.str()?.ok_or_else(|| format!("key `{key}` must be a string"))?;
+                *self = <$T>::parse(&name)?;
                 Ok(())
             }
         }
@@ -474,6 +628,28 @@ macro_rules! json_fields {
             }
         }
     };
+}
+
+/// The position of `key` in `keys`, looked for at `hint` first (fields
+/// usually arrive in list order), or the [`unknown_key`] error.
+pub fn field_index(keys: &[&str], key: &str, hint: usize) -> Result<usize, String> {
+    if keys.get(hint) == Some(&key) {
+        return Ok(hint);
+    }
+    keys.iter().position(|k| *k == key).ok_or_else(|| unknown_key(key, keys))
+}
+
+/// The first key that `fields` repeats, checked only when it holds more
+/// than `known` fields, `known` being how many distinct keys it can hold.
+#[must_use]
+pub fn repeated_key(fields: &[(String, Json)], known: usize) -> Option<&str> {
+    if fields.len() <= known {
+        return None;
+    }
+    let (i, _) = fields.iter().enumerate().find(|(i, (k, _))| {
+        fields[..*i].iter().any(|(earlier, _)| earlier == k)
+    })?;
+    Some(&fields[i].0)
 }
 
 /// The standard error message for a key the reader does not recognise:
@@ -510,146 +686,362 @@ pub fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// A pull reader over one JSON document. The caller asks for the value
+/// it expects next — an object's keys, an array's items, a number, a
+/// string — and gets it straight from the text, with no tree built and
+/// nothing allocated unless a string holds an escape. This is the
+/// front end that simdjson's On-Demand API puts over its structural
+/// index (Langdale & Lemire, "Parsing Gigabytes of JSON per Second",
+/// VLDB J. 2019), here as one plain scanning pass.
+///
+/// [`Json::parse`] is this reader building a tree, so the two accept
+/// exactly the same documents, with the same [`MAX_DEPTH`] limit and
+/// the same error messages; [`json_fields!`](crate::json_fields) types
+/// read themselves from it ([`JsonFields::read_pull`]). The typed reads
+/// ([`Pull::uint`], [`Pull::bool`], [`Pull::str`], [`Pull::begin_obj`],
+/// [`Pull::begin_arr`]) return `Ok(None)` or `Ok(false)` when the next
+/// value is not of their kind, so each caller words its own type error.
+///
+/// ```
+/// use rix_isa::json::Pull;
+/// let mut p = Pull::new(r#"{"pc":3,"mem":[4096]}"#);
+/// assert!(p.begin_obj()?);
+/// assert_eq!(p.key()?.as_deref(), Some("pc"));
+/// assert_eq!(p.uint()?, Some(3));
+/// assert_eq!(p.key()?.as_deref(), Some("mem"));
+/// assert_eq!(p.raw()?, "[4096]");
+/// assert_eq!(p.key()?, None);
+/// p.end()?;
+/// # Ok::<(), String>(())
+/// ```
+pub struct Pull<'a> {
+    text: &'a str,
+    b: &'a [u8],
+    pos: usize,
+    /// Arrays and objects open around the read position.
+    depth: usize,
+    /// Whether the last thing read was a whole value, so that a `,` or
+    /// the enclosing container's close may come next.
+    after_value: bool,
 }
 
-fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
+impl<'a> Pull<'a> {
+    /// A reader at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        Self { text, b: text.as_bytes(), pos: 0, depth: 0, after_value: false }
+    }
+
+    /// A reader at the start of `bytes`, or an error naming the first
+    /// byte that is not UTF-8.
+    pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, String> {
+        std::str::from_utf8(bytes)
+            .map(Self::new)
+            .map_err(|e| format!("invalid UTF-8 at byte {}", e.valid_up_to()))
+    }
+
+    /// The input between byte offsets `start` and `end`. Every offset
+    /// the reader stops at borders an ASCII byte, so this never fails
+    /// on a reader's own offsets.
+    fn slice(&self, start: usize, end: usize) -> Result<&'a str, String> {
+        self.text.get(start..end).ok_or_else(|| format!("split UTF-8 sequence at byte {start}"))
+    }
+
+    fn skip_ws(&mut self) {
+        while self.pos < self.b.len() && matches!(self.b[self.pos], b' ' | b'\t' | b'\n' | b'\r') {
+            self.pos += 1;
+        }
+    }
+
+    fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.b.get(self.pos).copied()
+    }
+
+    fn expect(&mut self, lit: &str) -> Result<(), String> {
+        if self.b[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(())
+        } else {
+            Err(format!("expected `{lit}` at byte {}", self.pos))
+        }
+    }
+
+    /// Requires the rest of the input to be whitespace: call it once the
+    /// document's one value has been read.
+    pub fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.b.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing garbage at byte {}", self.pos))
+        }
+    }
+
+    /// Opens the object that comes next, or returns `false` if the next
+    /// value is not an object.
+    pub fn begin_obj(&mut self) -> Result<bool, String> {
+        if self.peek() != Some(b'{') {
+            return Ok(false);
+        }
+        self.open()?;
+        Ok(true)
+    }
+
+    /// Opens the array that comes next, or returns `false` if the next
+    /// value is not an array.
+    pub fn begin_arr(&mut self) -> Result<bool, String> {
+        if self.peek() != Some(b'[') {
+            return Ok(false);
+        }
+        self.open()?;
+        Ok(true)
+    }
+
+    /// Consumes the `[` or `{` at the read position.
+    fn open(&mut self) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos));
+        }
+        self.pos += 1;
+        self.depth += 1;
+        self.after_value = false;
         Ok(())
-    } else {
-        Err(format!("expected `{lit}` at byte {pos}", pos = *pos))
     }
-}
 
-/// Parses one value that sits inside `depth` arrays and objects.
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
-        Some(b't') => expect(b, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => expect(b, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
-        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
-            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
-            pos = *pos
-        )),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos, depth + 1)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                expect(b, pos, ":")?;
-                let val = parse_value(b, pos, depth + 1)?;
-                fields.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            let start = *pos;
-            *pos += 1;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-            {
-                *pos += 1;
-            }
-            let raw = std::str::from_utf8(&b[start..*pos])
-                .map_err(|_| format!("invalid number at byte {start}"))?;
-            Ok(Json::Num(raw.to_string()))
-        }
-        Some(c) => Err(format!("unexpected byte `{}` at byte {pos}", *c as char, pos = *pos)),
+    /// Consumes the `]` or `}` at the read position.
+    fn close(&mut self) {
+        self.pos += 1;
+        self.depth -= 1;
+        self.after_value = true;
     }
-}
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, "\"")?;
-    let mut out = String::new();
-    loop {
-        // Copy the run up to the next quote or backslash in one go. Both
-        // are ASCII, so a run never splits a UTF-8 sequence, and each
-        // byte is validated exactly once.
-        let end = b[*pos..]
-            .iter()
-            .position(|&c| c == b'"' || c == b'\\')
-            .map_or(b.len(), |n| *pos + n);
-        let run = std::str::from_utf8(&b[*pos..end])
-            .map_err(|e| format!("invalid UTF-8 at byte {}", *pos + e.valid_up_to()))?;
-        out.push_str(run);
-        *pos = end;
-        match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+    /// The next key of the object being read, its `:` consumed, or
+    /// `None` once the object's closing `}` is consumed. The key is
+    /// borrowed from the input unless it holds an escape.
+    pub fn key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        match self.peek() {
+            Some(b'}') => {
+                self.close();
+                return Ok(None);
             }
-            // The run stopped at a backslash.
-            Some(_) => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {pos}", pos = *pos))?;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {pos}", pos = *pos))?;
-                        // Our writers only escape control characters;
-                        // surrogate pairs are not produced and map to
-                        // the replacement character if encountered.
-                        out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
+            Some(b',') if self.after_value => self.pos += 1,
+            _ if self.after_value => {
+                return Err(format!("expected `,` or `}}` at byte {}", self.pos));
+            }
+            _ => {}
+        }
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(":")?;
+        self.after_value = false;
+        Ok(Some(key))
+    }
+
+    /// Whether the array being read has another item: consumes the `,`
+    /// before it, or the closing `]` and returns `false`.
+    pub fn more(&mut self) -> Result<bool, String> {
+        match self.peek() {
+            Some(b']') => {
+                self.close();
+                Ok(false)
+            }
+            Some(b',') if self.after_value => {
+                self.pos += 1;
+                self.after_value = false;
+                Ok(true)
+            }
+            _ if self.after_value => Err(format!("expected `,` or `]` at byte {}", self.pos)),
+            _ => Ok(true),
+        }
+    }
+
+    /// The next value as an exact `u64` if it is a number that
+    /// [`Json::as_u64`] reads (digits only, at most `u64::MAX`), or
+    /// `None`. The number is scanned and converted in one pass.
+    pub fn uint(&mut self) -> Result<Option<u64>, String> {
+        match self.peek() {
+            Some(c) if c.is_ascii_digit() || c == b'-' => {}
+            _ => return Ok(None),
+        }
+        // The token `number` would take, failing on any non-digit.
+        let b = self.b;
+        let mut n = Some(0u64);
+        while self.pos < b.len() {
+            match b[self.pos] {
+                c @ b'0'..=b'9' => {
+                    n = n.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(c - b'0')));
                 }
-                *pos += 1;
+                b'.' | b'e' | b'E' | b'+' | b'-' => n = None,
+                _ => break,
+            }
+            self.pos += 1;
+        }
+        self.after_value = true;
+        Ok(n)
+    }
+
+    /// The next value if it is `true` or `false`, or `None`.
+    pub fn bool(&mut self) -> Result<Option<bool>, String> {
+        match self.peek() {
+            Some(b't') => self.literal("true").map(|()| Some(true)),
+            Some(b'f') => self.literal("false").map(|()| Some(false)),
+            _ => Ok(None),
+        }
+    }
+
+    /// The next value, unescaped, if it is a string, or `None`. It is
+    /// borrowed from the input unless it holds an escape.
+    pub fn str(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        if self.peek() != Some(b'"') {
+            return Ok(None);
+        }
+        let s = self.string()?;
+        self.after_value = true;
+        Ok(Some(s))
+    }
+
+    /// The next value as a [`Json`] tree: what [`Json::parse`] builds.
+    pub fn value(&mut self) -> Result<Json, String> {
+        match self.peek() {
+            None => Err("unexpected end of input".to_string()),
+            Some(b'n') => self.literal("null").map(|()| Json::Null),
+            Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
+            Some(b'"') => self.str().map(|s| Json::Str(s.unwrap_or_default().into_owned())),
+            Some(b'[') => {
+                self.open()?;
+                let mut items = Vec::new();
+                while self.more()? {
+                    items.push(self.value()?);
+                }
+                Ok(Json::Arr(items))
+            }
+            Some(b'{') => {
+                self.open()?;
+                let mut fields = Vec::new();
+                while let Some(key) = self.key()? {
+                    let val = self.value()?;
+                    fields.push((key.into_owned(), val));
+                }
+                Ok(Json::Obj(fields))
+            }
+            Some(c) if c.is_ascii_digit() || c == b'-' => Ok(Json::Num(self.number()?.to_string())),
+            Some(c) => Err(format!("unexpected byte `{}` at byte {}", char::from(c), self.pos)),
+        }
+    }
+
+    /// Reads past the next value, checking it exactly as
+    /// [`Pull::value`] would, without building it.
+    pub fn skip(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'[') => {
+                self.open()?;
+                while self.more()? {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Some(b'{') => {
+                self.open()?;
+                while self.key()?.is_some() {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Some(b'"') => self.str().map(drop),
+            Some(c) if c.is_ascii_digit() || c == b'-' => self.number().map(drop),
+            // A literal, the end of input or a stray byte: no allocation.
+            _ => self.value().map(drop),
+        }
+    }
+
+    /// Reads past the next value as [`Pull::skip`] does and returns its
+    /// text exactly as it appears in the input.
+    pub fn raw(&mut self) -> Result<&'a str, String> {
+        self.skip_ws();
+        let start = self.pos;
+        self.skip()?;
+        self.slice(start, self.pos)
+    }
+
+    fn literal(&mut self, lit: &str) -> Result<(), String> {
+        self.expect(lit)?;
+        self.after_value = true;
+        Ok(())
+    }
+
+    /// The number at the read position: its first byte is a digit or `-`.
+    fn number(&mut self) -> Result<&'a str, String> {
+        let (b, start) = (self.b, self.pos);
+        self.pos += 1;
+        while self.pos < b.len() && matches!(b[self.pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        {
+            self.pos += 1;
+        }
+        self.after_value = true;
+        self.slice(start, self.pos)
+    }
+
+    /// The string at the read position, unescaped.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.expect("\"")?;
+        let b = self.b;
+        let mut owned: Option<String> = None;
+        loop {
+            // Take the run up to the next quote or backslash in one go.
+            // Both are ASCII, so a run never splits a UTF-8 sequence.
+            let mut end = self.pos;
+            while end < b.len() && b[end] != b'"' && b[end] != b'\\' {
+                end += 1;
+            }
+            let run = self.slice(self.pos, end)?;
+            self.pos = end;
+            match b.get(self.pos) {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
+                }
+                // The run stopped at a backslash.
+                Some(_) => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(run);
+                    self.pos += 1;
+                    match b.get(self.pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let pos = self.pos;
+                            let hex = b
+                                .get(pos + 1..pos + 5)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
+                            let cp = u32::from_str_radix(hex, 16)
+                                .map_err(|_| format!("bad \\u escape at byte {pos}"))?;
+                            // Our writers only escape control characters;
+                            // surrogate pairs are not produced and map to
+                            // the replacement character if encountered.
+                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
+                            self.pos += 4;
+                        }
+                        _ => return Err(format!("bad escape at byte {}", self.pos)),
+                    }
+                    self.pos += 1;
+                }
             }
         }
     }
@@ -765,8 +1157,13 @@ b""#,
 
     #[test]
     fn field_list_errors_name_the_key_and_its_position() {
-        let err =
-            |text: &str| Outer::default().apply_json(&Json::parse(text).unwrap()).unwrap_err();
+        // The pull reader words every error as the tree reader does.
+        let err = |text: &str| {
+            let tree = Outer::default().apply_json(&Json::parse(text).unwrap()).unwrap_err();
+            let pull = Outer::default().apply_pull(&mut Pull::new(text)).unwrap_err();
+            assert_eq!(pull, tree, "{text}");
+            tree
+        };
         let full = r#""on":true,"n":1,"inner":{"hist":[[1,2],[3,4]],"width":7}"#;
         assert_eq!(err("[]"), "outer must be a JSON object");
         assert_eq!(err(r#"{"on":true,"n":1}"#), "missing key `inner`");
@@ -789,7 +1186,59 @@ b""#,
         let on = full.replace("true", "1");
         assert_eq!(err(&format!("{{{on}}}")), "key `on` must be a boolean");
         assert!(err(&format!("{{{full},\"of\":1}}")).starts_with("unknown key `of`"));
+        assert_eq!(err(&format!("{{{full},\"on\":false}}")), "duplicate key `on`");
+        let twice = full.replace("\"width\":7", "\"width\":7,\"width\":7");
+        assert_eq!(err(&format!("{{{twice}}}")), "inner: duplicate key `width`");
         assert!(err(&format!("{{{}}}", full.replace("\"n\":1", "\"n\":-1"))).contains("`n`"));
+    }
+
+    #[test]
+    fn field_lists_read_the_same_through_the_pull_reader() {
+        let text = r#" { "n" : 9 , "inner" : { "width" : 7 , "hist" : [ [1,2] , [3,18446744073709551615] ] } , "on" : true } "#;
+        let (mut tree, mut pulled) = (Outer::default(), Outer::default());
+        tree.apply_json(&Json::parse(text).unwrap()).unwrap();
+        let mut p = Pull::new(text);
+        pulled.apply_pull(&mut p).unwrap();
+        p.end().unwrap();
+        assert_eq!(pulled, tree, "any key order, any whitespace");
+        assert_eq!(tree.inner.hist[1][1], u64::MAX);
+        // An escaped key is the key it spells.
+        let escaped = text.replace("\"width\"", &format!("\"wid\\u{:04x}h\"", u32::from('t')));
+        assert_ne!(escaped, text);
+        let mut again = Outer::default();
+        again.apply_pull(&mut Pull::new(&escaped)).unwrap();
+        assert_eq!(again, tree);
+    }
+
+    #[test]
+    fn pull_reader_skips_and_slices_values() {
+        let text = r#"{"a":[1,{"b":"x\"y"},null],"c":-2.5e3,"d":"é"}"#;
+        let mut p = Pull::new(text);
+        assert!(p.begin_obj().unwrap());
+        assert_eq!(p.key().unwrap().as_deref(), Some("a"));
+        assert_eq!(p.raw().unwrap(), r#"[1,{"b":"x\"y"},null]"#);
+        assert_eq!(p.key().unwrap().as_deref(), Some("c"));
+        assert_eq!(p.uint().unwrap(), None, "not an unsigned integer");
+        assert_eq!(p.key().unwrap().as_deref(), Some("d"));
+        assert_eq!(p.str().unwrap().as_deref(), Some("é"));
+        assert_eq!(p.key().unwrap(), None);
+        p.end().unwrap();
+        // `skip` checks what it skips, under the same depth limit.
+        for bad in ["[1,]", "{\"a\" 1}", "[1 2]", "{\"a\":1,}", "\"abc", "[", "nul"] {
+            assert!(Pull::new(bad).skip().and_then(|()| Pull::new(bad).end()).is_err(), "{bad}");
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Pull::new(&deep).skip().unwrap_err().starts_with("nesting"));
+    }
+
+    #[test]
+    fn write_u64_matches_display() {
+        for n in [0, 7, 10, 99, 12_345, u64::from(u32::MAX) + 1, u64::MAX] {
+            let mut out = String::from("x");
+            write_u64(&mut out, n);
+            assert_eq!(out, format!("x{n}"));
+        }
     }
 
     #[test]
@@ -815,10 +1264,9 @@ b""#,
 
     #[test]
     fn invalid_utf8_names_the_byte() {
-        // `Json::parse` takes `&str`, so only the byte-level reader can
+        // `Json::parse` takes `&str`, so only a reader over bytes can
         // meet invalid UTF-8.
-        let mut pos = 0;
-        let err = parse_string(b"\"ab\xffc\"", &mut pos).unwrap_err();
+        let err = Pull::from_bytes(b"\"ab\xffc\"").err().unwrap();
         assert_eq!(err, "invalid UTF-8 at byte 3");
     }
 

@@ -27,6 +27,7 @@ use rix_isa::json::Json;
 use std::collections::{HashMap, VecDeque};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::io::Read;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -236,7 +237,13 @@ fn run_one(inner: &Inner, id: &str) {
             }
         }
     };
-    let outcome = inner.engine.execute(&spec, &cache_dir, &mut on_progress);
+    // A panicking engine fails its run and leaves this executor
+    // serving: the run is persisted `failed`, so a restart does not
+    // re-queue it into the same panic.
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        inner.engine.execute(&spec, &cache_dir, &mut on_progress)
+    }))
+    .unwrap_or_else(|panic| Err(format!("the engine panicked: {}", panic_message(&*panic))));
     let mut state = inner.state.lock().expect("state mutex never poisoned");
     let Some(run) = state.runs.get_mut(id) else { return };
     match outcome {
@@ -259,6 +266,16 @@ fn run_one(inner: &Inner, id: &str) {
     if let Err(e) = inner.store.save_run(run) {
         eprintln!("serve-api: cannot persist run {id}: {e}");
     }
+}
+
+/// The message a panic was raised with (`panic!` with a literal or a
+/// format string), or a placeholder for any other payload.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+    panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string panic payload")
 }
 
 // ----- connections ------------------------------------------------------
@@ -536,6 +553,9 @@ mod tests {
             if id == "0xfail" {
                 return Err("engine exploded".to_string());
             }
+            if id == "0xpanic" {
+                panic!("engine bug in {id}");
+            }
             progress(Progress { total: 3, done: 3, cached: 0, degraded: 0 });
             Ok(RunOutput {
                 doc: format!("{{\"doc_for\":\"{id}\",\"execution\":{n}}}\n"),
@@ -764,6 +784,48 @@ mod tests {
         assert_eq!((code, state_of(&body)), (200, "done".to_string()));
         d.stop();
         assert_eq!(engine.executions.load(Ordering::SeqCst), 2, "nothing re-simulated");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Polls run `id` until it reaches a final state, and returns its
+    /// status body.
+    fn wait_final(addr: &str, id: &str) -> String {
+        for _ in 0..200 {
+            let (code, body) = get(addr, &format!("/v1/runs/{id}"));
+            assert_eq!(code, 200, "{body}");
+            if matches!(state_of(&body).as_str(), "done" | "failed") {
+                return body;
+            }
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        panic!("run {id} never finished");
+    }
+
+    #[test]
+    fn a_panicking_engine_fails_its_run_and_the_executor_serves_on() {
+        let dir = scratch("panic");
+        let engine = MockEngine::new(0);
+        // One executor: if the panic took it down, nothing would run.
+        let handle = serve(&dir, 1, 8, None, &engine);
+        let addr = handle.addr().to_string();
+        assert_eq!(post(&addr, r#"{"id":"0xpanic"}"#).0, 201);
+        let body = wait_final(&addr, "0xpanic");
+        assert_eq!(state_of(&body), "failed", "{body}");
+        assert!(body.contains("the engine panicked: engine bug in 0xpanic"), "{body}");
+        assert_eq!(post(&addr, r#"{"id":"0x0c"}"#).0, 201);
+        wait_done(&addr, "0x0c");
+        handle.stop();
+        assert_eq!(engine.executions.load(Ordering::SeqCst), 2);
+
+        // The failure is persisted: a restart keeps it failed and does
+        // not run it again.
+        let again = serve(&dir, 1, 8, None, &engine);
+        let addr = again.addr().to_string();
+        let (code, body) = get(&addr, "/v1/runs/0xpanic");
+        assert_eq!((code, state_of(&body)), (200, "failed".to_string()), "{body}");
+        std::thread::sleep(Duration::from_millis(200));
+        again.stop();
+        assert_eq!(engine.executions.load(Ordering::SeqCst), 2, "not re-queued");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

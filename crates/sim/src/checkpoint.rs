@@ -44,7 +44,7 @@
 //! ```
 
 use crate::stats::SimStats;
-use rix_isa::json::{expect_bool, Json, JsonFields};
+use rix_isa::json::{Json, JsonFields, Pull};
 use rix_isa::{ArchState, Program};
 use rix_mem::Cycle;
 use std::fmt::Write as _;
@@ -152,31 +152,51 @@ impl Checkpoint {
 /// Serialises a [`RunResult`] losslessly (every raw counter, plus the
 /// halt/timeout flags): the multi-process dispatch wire format and
 /// trial-cache payload. The figure-facing [`RunResult::to_json`] emits
-/// derived metrics and is **not** invertible; this pair is.
+/// derived metrics and is **not** invertible; this encoding is. It is
+/// generated from the field lists of `RunResult` (`halted`,
+/// `timed_out`, `stats`) and the stats it nests.
 ///
 /// [`RunResult`]: crate::RunResult
 /// [`RunResult::to_json`]: crate::RunResult::to_json
 #[must_use]
 pub fn result_to_json(r: &crate::RunResult) -> String {
     let mut out = String::with_capacity(1024);
-    let _ = write!(out, r#"{{"halted":{},"timed_out":{},"stats":"#, r.halted, r.timed_out);
-    r.stats.write_json(&mut out);
-    out.push('}');
+    r.write_json(&mut out);
     out
 }
 
-/// Parses a [`result_to_json`] document back into the identical
+/// Parses a [`result_to_json`] tree back into the identical
 /// [`RunResult`] (`result_to_json(&result_from_json(v)?) ==` the
-/// original text).
+/// original text). Strict: every key must be present exactly once, and
+/// no other key may appear.
 ///
 /// [`RunResult`]: crate::RunResult
 pub fn result_from_json(v: &Json) -> Result<crate::RunResult, String> {
-    let flag = |key: &str| expect_bool(key, v.req(key)?);
-    Ok(crate::RunResult {
-        halted: flag("halted")?,
-        timed_out: flag("timed_out")?,
-        stats: read_stats(v)?,
-    })
+    let mut r = empty_result();
+    r.apply_json(v)?;
+    Ok(r)
+}
+
+/// [`result_from_json`] straight from the text, with no tree: it
+/// accepts exactly the documents `result_from_json(&Json::parse(text)?)`
+/// accepts, and decodes them to the same value.
+pub fn result_from_text(text: &str) -> Result<crate::RunResult, String> {
+    let mut p = Pull::new(text);
+    let r = result_from_pull(&mut p)?;
+    p.end()?;
+    Ok(r)
+}
+
+/// The [`result_to_json`] document `p` holds next, as [`result_from_text`]
+/// reads it: for a caller that embeds results in a larger document.
+pub fn result_from_pull(p: &mut Pull<'_>) -> Result<crate::RunResult, String> {
+    let mut r = empty_result();
+    r.apply_pull(p)?;
+    Ok(r)
+}
+
+fn empty_result() -> crate::RunResult {
+    crate::RunResult { stats: SimStats::default(), halted: false, timed_out: false }
 }
 
 /// The lossless [`SimStats`] under `v`'s `"stats"` key: every counter
@@ -248,6 +268,7 @@ mod tests {
         let back = result_from_json(&v).expect("parses");
         assert_eq!(back, r);
         assert_eq!(result_to_json(&back), text, "byte-stable round trip");
+        assert_eq!(result_from_text(&text), Ok(r), "the pull reader agrees");
         // And it is the *lossless* form, not the derived-metric one.
         assert!(text.contains("\"rs_occupancy_sum\""), "{text}");
     }

@@ -9,7 +9,8 @@
 //! show is one more line there.
 
 use rix_integration::IntegrationStats;
-use rix_isa::json::JsonFields;
+use rix_isa::json::{write_u64, JsonFields};
+use std::fmt::Write as _;
 use rix_mem::MemSystemStats;
 
 /// Everything the evaluation section measures, accumulated over a run.
@@ -139,6 +140,9 @@ pub struct RunResult {
     pub timed_out: bool,
 }
 
+// The lossless encoding (see `crate::checkpoint::result_to_json`).
+rix_isa::json_fields!(complete RunResult: "run result" { halted, timed_out, stats });
+
 impl RunResult {
     /// Retired IPC.
     #[must_use]
@@ -150,23 +154,33 @@ impl RunResult {
     /// dependencies); every counter plus the headline derived metrics.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"halted":{},"timed_out":{},"ipc":{},"stats":{}}}"#,
-            self.halted,
-            self.timed_out,
-            json_f64(self.ipc()),
-            self.stats.to_json()
-        )
+        let mut out = String::with_capacity(1024);
+        self.to_json_into(&mut out);
+        out
+    }
+
+    /// Appends [`RunResult::to_json`]'s bytes to `out`, with no
+    /// intermediate allocation.
+    pub fn to_json_into(&self, out: &mut String) {
+        out.push_str(r#"{"halted":"#);
+        self.halted.write_json(out);
+        out.push_str(r#","timed_out":"#);
+        self.timed_out.write_json(out);
+        out.push_str(r#","ipc":"#);
+        json_f64(out, self.ipc());
+        out.push_str(r#","stats":"#);
+        self.stats.to_json_into(out);
+        out.push('}');
     }
 }
 
-/// A finite float as a JSON number; NaN/∞ (impossible for ratios of
-/// counters, but defended anyway) become `null`.
-fn json_f64(x: f64) -> String {
+/// Appends a finite float as a JSON number; NaN/∞ (impossible for
+/// ratios of counters, but defended anyway) become `null`.
+fn json_f64(out: &mut String, x: f64) {
     if x.is_finite() {
-        format!("{x}")
+        let _ = write!(out, "{x}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
@@ -177,56 +191,79 @@ impl SimStats {
     /// [`crate::checkpoint::result_to_json`]'s.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let integration = format!(
-            concat!(
-                r#"{{"direct":{},"reverse":{},"rate":{},"suppressed":{},"#,
-                r#""mis_integrations":{},"load_mis_integrations":{},"#,
-                r#""register_mis_integrations":{},"mis_per_million":{}}}"#
-            ),
-            self.integration.direct,
-            self.integration.reverse,
-            json_f64(self.integration.rate()),
-            self.integration.suppressed,
-            self.integration.mis_integrations,
-            self.integration.load_mis_integrations,
-            self.integration.register_mis_integrations,
-            json_f64(self.integration.mis_per_million()),
+        let mut out = String::with_capacity(1024);
+        self.to_json_into(&mut out);
+        out
+    }
+
+    /// Appends [`SimStats::to_json`]'s bytes to `out`, with no
+    /// intermediate allocation.
+    pub fn to_json_into(&self, out: &mut String) {
+        let i = &self.integration;
+        write_counters(out, &[(r#"{"cycles":"#, self.cycles), (r#","retired":"#, self.retired)]);
+        out.push_str(r#","ipc":"#);
+        json_f64(out, self.ipc());
+        write_counters(
+            out,
+            &[
+                (r#","fetched":"#, self.fetched),
+                (r#","executed":"#, self.executed),
+                (r#","loads_executed":"#, self.loads_executed),
+                (r#","loads_retired":"#, self.loads_retired),
+                (r#","stores_retired":"#, self.stores_retired),
+                (r#","cond_branches_retired":"#, self.cond_branches_retired),
+                (r#","branch_mispredicts":"#, self.branch_mispredicts),
+            ],
         );
-        let mut mem = String::with_capacity(256);
-        self.mem.write_json(&mut mem);
-        format!(
-            concat!(
-                r#"{{"cycles":{},"retired":{},"ipc":{},"fetched":{},"executed":{},"#,
-                r#""loads_executed":{},"loads_retired":{},"stores_retired":{},"#,
-                r#""cond_branches_retired":{},"branch_mispredicts":{},"#,
-                r#""branch_resolution_latency":{},"squashes_branch":{},"#,
-                r#""squashes_memorder":{},"squashes_diva":{},"avg_rs_occupancy":{},"#,
-                r#""stalls_preg":{},"stalls_rob":{},"stalls_rs":{},"stalls_lsq":{},"#,
-                r#""stalls_writebuf":{},"integration":{},"mem":{}}}"#
-            ),
-            self.cycles,
-            self.retired,
-            json_f64(self.ipc()),
-            self.fetched,
-            self.executed,
-            self.loads_executed,
-            self.loads_retired,
-            self.stores_retired,
-            self.cond_branches_retired,
-            self.branch_mispredicts,
-            json_f64(self.branch_resolution_latency()),
-            self.squashes_branch,
-            self.squashes_memorder,
-            self.squashes_diva,
-            json_f64(self.avg_rs_occupancy()),
-            self.stalls_preg,
-            self.stalls_rob,
-            self.stalls_rs,
-            self.stalls_lsq,
-            self.stalls_writebuf,
-            integration,
-            mem,
-        )
+        out.push_str(r#","branch_resolution_latency":"#);
+        json_f64(out, self.branch_resolution_latency());
+        write_counters(
+            out,
+            &[
+                (r#","squashes_branch":"#, self.squashes_branch),
+                (r#","squashes_memorder":"#, self.squashes_memorder),
+                (r#","squashes_diva":"#, self.squashes_diva),
+            ],
+        );
+        out.push_str(r#","avg_rs_occupancy":"#);
+        json_f64(out, self.avg_rs_occupancy());
+        write_counters(
+            out,
+            &[
+                (r#","stalls_preg":"#, self.stalls_preg),
+                (r#","stalls_rob":"#, self.stalls_rob),
+                (r#","stalls_rs":"#, self.stalls_rs),
+                (r#","stalls_lsq":"#, self.stalls_lsq),
+                (r#","stalls_writebuf":"#, self.stalls_writebuf),
+                (r#","integration":{"direct":"#, i.direct),
+                (r#","reverse":"#, i.reverse),
+            ],
+        );
+        out.push_str(r#","rate":"#);
+        json_f64(out, i.rate());
+        write_counters(
+            out,
+            &[
+                (r#","suppressed":"#, i.suppressed),
+                (r#","mis_integrations":"#, i.mis_integrations),
+                (r#","load_mis_integrations":"#, i.load_mis_integrations),
+                (r#","register_mis_integrations":"#, i.register_mis_integrations),
+            ],
+        );
+        out.push_str(r#","mis_per_million":"#);
+        json_f64(out, i.mis_per_million());
+        out.push_str(r#"},"mem":"#);
+        self.mem.write_json(out);
+        out.push('}');
+    }
+}
+
+/// Appends each `(prefix, counter)` pair: the prefix (punctuation and
+/// key), then the counter.
+fn write_counters(out: &mut String, pairs: &[(&str, u64)]) {
+    for &(prefix, n) in pairs {
+        out.push_str(prefix);
+        write_u64(out, n);
     }
 }
 

@@ -7,16 +7,23 @@
 //! arbitrary token soup, truncations, and single mutations of valid
 //! documents: a deleted key, a retyped value, the numbers `-1`, `1e400`
 //! and `18446744073709551616`, histograms of the wrong length or with
-//! non-pair cells, and deep nesting. The result decoder is strict too:
-//! any mutation that leaves a counter missing or mistyped is an `Err`,
-//! never a zero.
+//! non-pair cells, a repeated or unknown key, and deep nesting. The
+//! result decoder is strict too: any mutation that leaves a counter
+//! missing, mistyped or repeated is an `Err`, never a zero.
+//!
+//! The pull readers (`result_from_text`, `SimConfig::apply_pull`) must
+//! accept exactly what the tree decoders accept, and decode it to the
+//! same value. `ResultCache::load` on arbitrary file bytes returns the
+//! stored payload or nothing.
 
 use proptest::prelude::*;
 use rix::integration::IntegrationStats;
 use rix::isa::json::Json;
 use rix::mem::{CacheStats, MemSystemStats};
 use rix::prelude::*;
-use rix::sim::checkpoint::{result_from_json, result_to_json};
+use rix::dispatch::ResultCache;
+use rix::isa::json::Pull;
+use rix::sim::checkpoint::{result_from_json, result_from_text, result_to_json};
 use rix::sim::SimStats;
 use std::sync::OnceLock;
 
@@ -56,12 +63,21 @@ fn docs() -> &'static Docs {
     })
 }
 
-/// Runs every decoder on `text`; each must return, `Ok` or `Err`. The
-/// result decoder's verdict is returned.
+/// Runs every decoder on `text`; each must return, `Ok` or `Err`, and
+/// each pull reader must agree with its tree decoder. The tree result
+/// decoder's verdict is returned.
 fn decode_all(text: &str) -> Option<Result<RunResult, String>> {
-    let _ = SimConfig::from_json(text);
+    let config = SimConfig::from_json(text);
+    let mut pulled = SimConfig::default();
+    let mut p = Pull::new(text);
+    let pull_config = pulled.apply_pull(&mut p).and_then(|()| p.end()).map(|()| pulled);
+    assert_eq!(config.as_ref().ok(), pull_config.as_ref().ok(), "config readers differ on {text}");
     let _ = Checkpoint::from_json(text);
-    Json::parse(text).ok().map(|v| result_from_json(&v))
+    let verdict = Json::parse(text).ok().map(|v| result_from_json(&v));
+    let tree = verdict.clone().unwrap_or_else(|| Err("does not parse".to_string()));
+    let pull = result_from_text(text);
+    assert_eq!(tree.as_ref().ok(), pull.as_ref().ok(), "result readers differ on {text}");
+    verdict
 }
 
 /// Every node of `v` as the child indices that lead to it (fields and
@@ -183,7 +199,11 @@ const TOKENS: &[&str] = &[
     "18446744073709551616", "true", "false", "null", "\"stats\"", "\"cycles\"",
     "\"schema\"", "\"rix-ckpt/1\"", "\"halted\"", "\"by_type\"", "\"core\"",
     "\"integration\"", "\"gen_bits\"", "\"oracle\"", "\"\\u00zz\"", "é", "\u{1f}",
+    "\"key\"", "\"payload\"", "\"rix-trial-cache/1\"", "\"0123456789abcdef0123456789abcdef\"",
 ];
+
+/// The key [`fuzz_cache`] stores its entry under.
+const FUZZ_KEY: &str = "0123456789abcdef0123456789abcdef";
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
@@ -261,8 +281,102 @@ proptest! {
         let back = result_from_json(&Json::parse(&text).expect("well-formed"))
             .expect("own output decodes");
         prop_assert_eq!(&back, &r);
-        prop_assert_eq!(result_to_json(&back), text, "byte-stable re-encoding");
+        prop_assert_eq!(&result_to_json(&back), &text, "byte-stable re-encoding");
+        let pulled = result_from_text(&text).expect("the pull reader decodes it");
+        prop_assert_eq!(&pulled, &r);
+        prop_assert_eq!(result_to_json(&pulled), text, "byte-stable after the pull reader");
     }
+
+    #[test]
+    fn repeated_and_unknown_keys_are_rejected_by_both_readers(
+        at in any::<u64>(),
+        pick in any::<u64>(),
+        unknown in any::<bool>(),
+    ) {
+        let doc = &docs().result;
+        let mut objects = Vec::new();
+        node_paths(doc, &mut Vec::new(), &mut objects);
+        objects.retain(|path| matches!(node_at(doc, path), Json::Obj(_)));
+        let mut v = doc.clone();
+        let path = &objects[(at % objects.len() as u64) as usize];
+        let Json::Obj(fields) = node_mut(&mut v, path) else { unreachable!("an object") };
+        let (key, value) = fields[(pick % fields.len() as u64) as usize].clone();
+        let key = if unknown { format!("{key}_x") } else { key };
+        let to = ((pick >> 32) % (fields.len() as u64 + 1)) as usize;
+        fields.insert(to, (key, value));
+        let text = v.dump();
+        let verdict = decode_all(&text).expect("a mutated tree dumps to parseable text");
+        prop_assert!(verdict.is_err(), "accepted {}", text);
+    }
+
+    #[test]
+    fn invalid_utf8_is_an_error_for_the_byte_reader(
+        picks in proptest::collection::vec(0usize..TOKENS.len(), 0..24),
+        bad in 0usize..4,
+        at in any::<u64>(),
+    ) {
+        let mut bytes: Vec<u8> = picks.iter().flat_map(|&i| TOKENS[i].bytes()).collect();
+        let seq: &[u8] = [&b"\xff"[..], b"\xc3", b"\xed\xa0\x80", b"\xf0\x9f"][bad];
+        let at = (at % (bytes.len() as u64 + 1)) as usize;
+        bytes.splice(at..at, seq.iter().copied());
+        prop_assert!(Pull::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn a_cache_entry_of_arbitrary_bytes_loads_as_the_stored_payload_or_nothing(
+        how in 0u64..4,
+        picks in proptest::collection::vec(0usize..TOKENS.len(), 0..48),
+        at in any::<u64>(),
+        byte in any::<u8>(),
+    ) {
+        let (cache, key, payload) = fuzz_cache();
+        let path = cache.dir().join(format!("{key}.json"));
+        let entry = std::fs::read(&path).expect("the stored entry");
+        let at = (at % entry.len() as u64) as usize;
+        let bytes = match how {
+            // Token soup, with the entry's own framing among the tokens.
+            0 => picks.iter().flat_map(|&i| TOKENS[i].bytes()).collect(),
+            // A truncation.
+            1 => entry[..at].to_vec(),
+            // One non-ASCII byte inserted: the entry is ASCII, so this
+            // is never UTF-8.
+            2 => [&entry[..at], &[byte | 0x80], &entry[at..]].concat(),
+            // Trailing bytes after the entry.
+            _ => [&entry[..], &[byte]].concat(),
+        };
+        std::fs::write(&path, &bytes).expect("rewrites the entry");
+        let loaded = cache.load(&key);
+        std::fs::write(&path, &entry).expect("restores the entry");
+        prop_assert!(loaded.is_none() || loaded.as_ref() == Some(&payload), "{:?}", loaded);
+        if how == 1 && at < entry.len() - 1 {
+            prop_assert!(loaded.is_none(), "a truncated entry is a miss");
+        }
+    }
+}
+
+/// The node at `path` (see [`node_paths`]).
+fn node_at<'a>(v: &'a Json, path: &[usize]) -> &'a Json {
+    match (v, path.split_first()) {
+        (v, None) => v,
+        (Json::Arr(items), Some((&i, rest))) => node_at(&items[i], rest),
+        (Json::Obj(fields), Some((&i, rest))) => node_at(&fields[i].1, rest),
+        _ => unreachable!("paths come from node_paths"),
+    }
+}
+
+/// A cache holding one entry: the result document's payload under a
+/// fixed key. Each test thread gets its own directory.
+fn fuzz_cache() -> (ResultCache, String, Json) {
+    let dir = std::env::temp_dir().join(format!(
+        "rix-decoder-fuzz-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let cache = ResultCache::open(&dir).expect("opens");
+    let key = FUZZ_KEY.to_string();
+    let payload = Json::Obj(vec![("result".into(), docs().result.clone())]);
+    cache.store(&key, &payload).expect("stores");
+    (cache, key, payload)
 }
 
 /// A `SimStats` with every counter and every histogram cell drawn from
@@ -335,5 +449,6 @@ fn nesting_past_the_parser_limit_is_an_error() {
         assert!(SimConfig::from_json(&text).unwrap_err().starts_with("nesting"));
         assert!(Checkpoint::from_json(&text).unwrap_err().starts_with("nesting"));
         assert!(decode_all(&text).is_none());
+        assert!(result_from_text(&text).is_err());
     }
 }
