@@ -73,3 +73,63 @@ fn fast_forward_composes() {
         assert_eq!(two_hop, whole, "{}", bench.name);
     }
 }
+
+/// Where [`fast_forward_reproduces_the_committed_fixture`] keeps its
+/// expectations.
+fn fixture_path() -> std::path::PathBuf {
+    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/fast_forward.json")
+}
+
+/// Functional instructions per fixture entry.
+const FIXTURE_INSTRUCTIONS: u64 = 500_000;
+
+/// The fixture document: one line per (benchmark, seed) with the state
+/// `Interp::fast_forward(FIXTURE_INSTRUCTIONS)` reaches — `pc`,
+/// `retired`, `halted` and the 128-bit FNV-1a of its `to_json()` bytes
+/// (so registers and the whole memory image are covered).
+fn fixture_document() -> String {
+    let stack_top = SimConfig::default().stack_top;
+    let mut lines = Vec::new();
+    for bench in all_benchmarks() {
+        for seed in [1, 7] {
+            let program = bench.build(seed);
+            let s = Interp::new(&program, stack_top).fast_forward(FIXTURE_INSTRUCTIONS);
+            lines.push(format!(
+                r#"  {{"bench":"{}","seed":{seed},"pc":{},"retired":{},"halted":{},"hash":"{}"}}"#,
+                bench.name,
+                s.pc,
+                s.retired,
+                s.halted,
+                rix_dispatch::hash::fnv128_hex(s.to_json().as_bytes()),
+            ));
+        }
+    }
+    format!(
+        "{{\"instructions\":{FIXTURE_INSTRUCTIONS},\"entries\":[\n{}\n]}}\n",
+        lines.join(",\n")
+    )
+}
+
+/// Every workload at seeds 1 and 7 fast-forwards into the states the
+/// committed fixture records, bit for bit. Regenerate it only for a
+/// deliberate architectural change:
+///
+/// ```text
+/// RIX_BLESS=1 cargo test --test fast_forward
+/// ```
+#[test]
+fn fast_forward_reproduces_the_committed_fixture() {
+    let got = fixture_document();
+    let path = fixture_path();
+    if std::env::var_os("RIX_BLESS").is_some() {
+        std::fs::write(&path, &got).expect("write fixture");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).expect("fixture is committed");
+    let drifted: Vec<_> = want.lines().zip(got.lines()).filter(|(w, g)| w != g).collect();
+    assert!(
+        want == got,
+        "fast-forward states drifted from {path:?} ({} lines differ):\n{drifted:#?}",
+        drifted.len()
+    );
+}
