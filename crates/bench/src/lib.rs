@@ -941,7 +941,9 @@ impl Sweep {
             WarmupMode::Functional if self.warmup > 0 => {
                 // `validate` makes every arm agree on `stack_top`.
                 let stack_top = self.configs[0].1.stack_top;
-                warm = Some(Interp::new(&program, stack_top).fast_forward(self.warmup));
+                let mut interp = Interp::new(&program, stack_top);
+                let _ = interp.run(self.warmup);
+                warm = Some(interp.into_arch_state());
             }
             _ => {}
         }

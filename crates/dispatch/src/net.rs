@@ -450,9 +450,14 @@ mod tests {
     }
 
     /// A raw scripted peer: says hello, waits for its first cell
-    /// assignment, and drops the connection — the worker-died-mid-cell
-    /// case, without the real client's reconnect masking it.
-    fn flaky_once(addr: String, name: &'static str) -> std::thread::JoinHandle<()> {
+    /// assignment, signals `got_cell`, and drops the connection — the
+    /// worker-died-mid-cell case, without the real client's reconnect
+    /// masking it.
+    fn flaky_once(
+        addr: String,
+        name: &'static str,
+        got_cell: std::sync::mpsc::Sender<()>,
+    ) -> std::thread::JoinHandle<()> {
         std::thread::spawn(move || {
             let mut s = TcpStream::connect(&addr).unwrap();
             writeln!(
@@ -468,6 +473,7 @@ mod tests {
                     break;
                 }
                 if line.contains("\"type\":\"cell\"") {
+                    let _ = got_cell.send(());
                     break; // drop with the cell in flight
                 }
             }
@@ -477,10 +483,17 @@ mod tests {
     #[test]
     fn mid_cell_disconnect_requeues_on_a_healthy_peer() {
         let (listener, addr) = listen();
-        let flaky = flaky_once(addr.clone(), "flaky");
+        // The steady peer connects only once the flaky one holds a cell,
+        // so the flaky peer always takes (and loses) one, however the
+        // threads are scheduled.
+        let (got_cell, flaky_has_cell) = std::sync::mpsc::channel();
+        let flaky = flaky_once(addr.clone(), "flaky", got_cell);
         let steady = {
             let addr = addr.clone();
-            std::thread::spawn(move || connect_worker(&addr, "steady", &fast_backoff(), echo))
+            std::thread::spawn(move || {
+                let _ = flaky_has_cell.recv();
+                connect_worker(&addr, "steady", &fast_backoff(), echo)
+            })
         };
         let cells: Vec<u64> = vec![10, 11, 12, 13];
         let out = serve(listener, &cells, &fast_cfg()).unwrap();

@@ -4,7 +4,7 @@
 //! [`ArchState`] is the complete architectural snapshot of a program at a
 //! retirement boundary — program counter, the 64 logical registers, the
 //! memory image, and the retired-instruction position. The reference
-//! interpreter ([`crate::interp::Interp`]) *is* a thin stepper over one;
+//! interpreter ([`crate::interp::Interp`]) steps one;
 //! the out-of-order simulator retires into one and can boot from one
 //! mid-program (`Simulator::from_arch_state`); checkpoints serialise one
 //! to disk; and the sweep layer forks one warm-up across config arms.
@@ -12,6 +12,12 @@
 //! Two engines agree architecturally **iff** their `ArchState`s compare
 //! equal — equality covers the memory image word-for-word, not just the
 //! registers.
+//!
+//! [`MemImage`] is the workspace's one sparse page table: the
+//! interpreter loads and stores through it, and the simulator keeps its
+//! architectural memory in one (reading a warm-up snapshot's image in
+//! place until it first stores to a page), so a snapshot moves between
+//! engines without conversion.
 //!
 //! ```
 //! use rix_isa::{ArchState, Asm, reg};
@@ -34,12 +40,14 @@ use crate::json::Json;
 use crate::program::Program;
 use crate::reg::{LogReg, NUM_LOG_REGS, SP};
 use crate::{DataAddr, InstAddr};
-use std::collections::BTreeMap;
 
 /// Words per 4 KB page.
 pub const WORDS_PER_PAGE: usize = 512;
 /// Page number = byte address >> this.
 pub const PAGE_SHIFT: u32 = 12;
+
+/// Fibonacci multiplicative hash constant (2^64 / φ).
+const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A sparse, page-granular memory image of 64-bit words. Uninitialised
 /// words read as zero; two images are equal **iff** every word reads
@@ -47,11 +55,55 @@ pub const PAGE_SHIFT: u32 = 12;
 /// untouched word, so equality and serialisation consider non-zero
 /// words only).
 ///
-/// Pages are kept in a `BTreeMap`, so iteration — and therefore the
-/// serialised form — is deterministic regardless of write order.
-#[derive(Clone, Debug, Default)]
+/// Every functional load and store touches it, so pages live in one
+/// dense vector behind an open-addressed, linearly-probed index, and hot
+/// loops front it with a [`PageCursor`]: one compare when an access
+/// stays on the last page. The pages are stored inline in that vector,
+/// not boxed one by one: a large image is one allocation, returned whole
+/// when dropped, so the warm-up states a sweep keeps do not fragment the
+/// heap. [`MemImage::words`] sorts the page numbers, so equality and the
+/// serialised form do not depend on write order.
+///
+/// ```
+/// use rix_isa::{MemImage, PageCursor};
+/// let mut m = MemImage::new();
+/// let mut cur = PageCursor::default();
+/// m.write_word_with(0x1000, 42, &mut cur);
+/// assert_eq!(m.resident_word_with(0x1000, &mut cur), Some(42));
+/// assert_eq!(m.resident_word_with(0x2000, &mut cur), None);
+/// assert_eq!(m.read_word(0x2000), 0);
+/// ```
+#[derive(Clone, Debug)]
 pub struct MemImage {
-    pages: BTreeMap<u64, Box<[u64; WORDS_PER_PAGE]>>,
+    /// Dense page storage; `keys[i]` is the page number of `pages[i]`.
+    pages: Vec<[u64; WORDS_PER_PAGE]>,
+    keys: Vec<u64>,
+    /// Open-addressed page table: slot → dense index + 1, 0 = empty.
+    /// Length is a power of two, load factor kept below ~0.7.
+    index: Vec<u32>,
+}
+
+/// The last page a [`MemImage`] access touched (page number, dense
+/// index). It belongs to one image and stays valid in its clones (pages
+/// are never removed or renumbered). The caller keeps it, so the image
+/// stays `Sync` for the threads of a sweep that share warm-up states.
+#[derive(Clone, Copy, Debug)]
+pub struct PageCursor {
+    page: u64,
+    dense: u32,
+}
+
+impl Default for PageCursor {
+    fn default() -> Self {
+        // No page: page numbers are `addr >> 12`.
+        Self { page: u64::MAX, dense: 0 }
+    }
+}
+
+impl Default for MemImage {
+    fn default() -> Self {
+        Self { pages: Vec::new(), keys: Vec::new(), index: vec![0; 64] }
+    }
 }
 
 impl MemImage {
@@ -61,26 +113,83 @@ impl MemImage {
         Self::default()
     }
 
+    /// Where `page` is: `Ok(dense index)` when resident, otherwise
+    /// `Err(the empty slot that ends its probe chain)`.
+    #[inline]
+    fn probe(&self, page: u64) -> Result<u32, usize> {
+        let mask = self.index.len() - 1;
+        let mut slot = ((page.wrapping_mul(HASH_MUL) >> 32) as usize) & mask;
+        loop {
+            match self.index[slot] {
+                0 => return Err(slot),
+                e if self.keys[e as usize - 1] == page => return Ok(e - 1),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Allocates a zero page for the absent `page`, doubling the index
+    /// (and re-placing every page) when its load would pass ~0.7.
+    fn insert_page(&mut self, page: u64) -> u32 {
+        let grow = (self.keys.len() + 1) * 10 > self.index.len() * 7;
+        if grow {
+            self.index = vec![0; self.index.len() * 2];
+        }
+        self.pages.push([0; WORDS_PER_PAGE]);
+        self.keys.push(page);
+        let added = self.keys.len() - 1;
+        for di in if grow { 0 } else { added }..=added {
+            if let Err(slot) = self.probe(self.keys[di]) {
+                self.index[slot] = di as u32 + 1;
+            }
+        }
+        added as u32
+    }
+
     /// Reads the naturally-aligned word containing `addr`.
     #[must_use]
     pub fn read_word(&self, addr: DataAddr) -> u64 {
-        let idx = ((addr >> 3) as usize) & (WORDS_PER_PAGE - 1);
-        self.pages.get(&(addr >> PAGE_SHIFT)).map_or(0, |p| p[idx])
+        self.resident_word_with(addr, &mut PageCursor::default()).unwrap_or(0)
     }
 
     /// Writes the naturally-aligned word containing `addr`.
     pub fn write_word(&mut self, addr: DataAddr, value: u64) {
+        self.write_word_with(addr, value, &mut PageCursor::default());
+    }
+
+    /// [`MemImage::read_word`] through `cur`, this image's cursor (one
+    /// compare when `addr` is on the page it last touched), but `None`
+    /// when the page holding `addr` is not resident, which tells an
+    /// untouched word from a stored zero.
+    #[must_use]
+    #[inline]
+    pub fn resident_word_with(&self, addr: DataAddr, cur: &mut PageCursor) -> Option<u64> {
+        let page = addr >> PAGE_SHIFT;
         let idx = ((addr >> 3) as usize) & (WORDS_PER_PAGE - 1);
-        self.pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0; WORDS_PER_PAGE]))[idx] = value;
+        if cur.page != page {
+            *cur = PageCursor { page, dense: self.probe(page).ok()? };
+        }
+        Some(self.pages[cur.dense as usize][idx])
+    }
+
+    /// [`MemImage::write_word`] through `cur`, this image's cursor.
+    #[inline]
+    pub fn write_word_with(&mut self, addr: DataAddr, value: u64, cur: &mut PageCursor) {
+        let page = addr >> PAGE_SHIFT;
+        let idx = ((addr >> 3) as usize) & (WORDS_PER_PAGE - 1);
+        if cur.page != page {
+            let dense = self.probe(page).unwrap_or_else(|_| self.insert_page(page));
+            *cur = PageCursor { page, dense };
+        }
+        self.pages[cur.dense as usize][idx] = value;
     }
 
     /// Seeds the image from an assembled program's data segments.
     pub fn load_segments(&mut self, segments: &[crate::program::DataSegment]) {
+        let mut cur = PageCursor::default();
         for seg in segments {
             for (i, &w) in seg.words.iter().enumerate() {
-                self.write_word(seg.base + 8 * i as u64, w);
+                self.write_word_with(seg.base + 8 * i as u64, w, &mut cur);
             }
         }
     }
@@ -88,26 +197,16 @@ impl MemImage {
     /// Iterates the non-zero words as `(byte address, word)`, in
     /// ascending address order.
     pub fn words(&self) -> impl Iterator<Item = (DataAddr, u64)> + '_ {
-        self.pages.iter().flat_map(|(&page, words)| {
-            words
+        let mut order: Vec<usize> = (0..self.keys.len()).collect();
+        order.sort_unstable_by_key(|&di| self.keys[di]);
+        order.into_iter().flat_map(move |di| {
+            let page = self.keys[di];
+            self.pages[di]
                 .iter()
                 .enumerate()
                 .filter(|&(_, &w)| w != 0)
                 .map(move |(i, &w)| ((page << PAGE_SHIFT) | (i as u64) << 3, w))
         })
-    }
-
-    /// Iterates the resident pages as `(page number, words)`, in
-    /// ascending page order — the bulk-copy path used to seed a
-    /// simulator `DataStore` without going word-by-word.
-    pub fn pages(&self) -> impl Iterator<Item = (u64, &[u64; WORDS_PER_PAGE])> {
-        self.pages.iter().map(|(&page, words)| (page, &**words))
-    }
-
-    /// Installs a whole page at once (the bulk path back *from* a
-    /// `DataStore` dump).
-    pub fn set_page(&mut self, page: u64, words: [u64; WORDS_PER_PAGE]) {
-        self.pages.insert(page, Box::new(words));
     }
 
     /// Number of resident pages (all-zero pages may count).
@@ -129,9 +228,9 @@ impl Eq for MemImage {}
 
 impl FromIterator<(DataAddr, u64)> for MemImage {
     fn from_iter<T: IntoIterator<Item = (DataAddr, u64)>>(iter: T) -> Self {
-        let mut img = Self::new();
+        let (mut img, mut cur) = (Self::new(), PageCursor::default());
         for (addr, word) in iter {
-            img.write_word(addr, word);
+            img.write_word_with(addr, word, &mut cur);
         }
         img
     }
@@ -264,15 +363,26 @@ mod tests {
     use crate::asm::Asm;
     use crate::reg;
 
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    // Prepared rows share warm-up states across sweep threads.
+    const _: () = {
+        const fn send_sync<T: Send + Sync>() {}
+        send_sync::<MemImage>();
+        send_sync::<ArchState>();
+    };
+
     #[test]
     fn image_zero_fill_and_roundtrip() {
         let mut m = MemImage::new();
-        assert_eq!(m.read_word(0x1234), 0);
+        assert_eq!(m.read_word(0), 0);
+        assert_eq!(m.read_word(!7), 0);
         m.write_word(0x1000, 42);
         m.write_word(0x0ff8, 7);
         assert_eq!(m.read_word(0x1000), 42);
         assert_eq!(m.read_word(0x1004), 42, "word-aligned access");
-        assert_eq!(m.resident_pages(), 2);
+        assert_eq!(m.resident_pages(), 2, "cross-page writes land on two pages");
         let words: Vec<_> = m.words().collect();
         assert_eq!(words, vec![(0x0ff8, 7), (0x1000, 42)], "ascending address order");
     }
@@ -288,16 +398,121 @@ mod tests {
     }
 
     #[test]
-    fn image_from_iterator_and_pages() {
+    fn image_from_iterator_and_segments() {
         let img: MemImage = vec![(0x2000u64, 5u64), (0x2008, 6)].into_iter().collect();
         assert_eq!(img.read_word(0x2008), 6);
-        let pages: Vec<_> = img.pages().map(|(p, _)| p).collect();
-        assert_eq!(pages, vec![2]);
-        let mut copy = MemImage::new();
-        for (p, words) in img.pages() {
-            copy.set_page(p, *words);
+        assert_eq!(img.resident_pages(), 1);
+        let mut seg = MemImage::new();
+        seg.load_segments(&[crate::program::DataSegment { base: 0x2000, words: vec![5, 6] }]);
+        assert_eq!(seg, img);
+    }
+
+    #[test]
+    fn many_pages_survive_index_growth() {
+        // Enough pages to force several open-addressed table doublings,
+        // with strided page numbers to exercise probe collisions.
+        let mut m = MemImage::new();
+        for i in 0..500u64 {
+            m.write_word(i * 0x1000 * 64, i + 1);
         }
-        assert_eq!(copy, img);
+        assert_eq!(m.resident_pages(), 500);
+        for i in 0..500u64 {
+            assert_eq!(m.read_word(i * 0x1000 * 64), i + 1, "page {i}");
+            assert_eq!(m.read_word(i * 0x1000 * 64 + 8), 0);
+        }
+    }
+
+    #[test]
+    fn cursor_follows_its_image_into_a_clone() {
+        let mut a = MemImage::new();
+        let mut cur = PageCursor::default();
+        a.write_word_with(0x1000, 7, &mut cur);
+        let mut b = a.clone();
+        let mut b_cur = cur;
+        b.write_word_with(0x1000, 8, &mut b_cur);
+        assert_eq!(a.resident_word_with(0x1000, &mut cur), Some(7));
+        assert_eq!(b.resident_word_with(0x1000, &mut b_cur), Some(8));
+        // A cursor stays valid while its image grows around it.
+        for p in 0..100u64 {
+            a.write_word_with(p << PAGE_SHIFT, p, &mut PageCursor::default());
+        }
+        assert_eq!(a.resident_word_with(0x1000, &mut cur), Some(1), "page 1 was rewritten to 1");
+    }
+
+    /// A random access stream: (page, word slot, value, is-write). Pages
+    /// are drawn from a spread-out set so the index doubles several
+    /// times and probe chains collide.
+    fn accesses() -> impl Strategy<Value = Vec<(u64, u64, u64, bool)>> {
+        proptest::collection::vec(
+            (0u64..300, 0u64..WORDS_PER_PAGE as u64, 0u64..4, 0u8..4)
+                .prop_map(|(p, w, v, k)| (p * 0x9_0001, w, v * 0x1_0000_0001, k != 0)),
+            1..2_000,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+        /// `MemImage` behaves as a `BTreeMap` of words, through cursors
+        /// and without, and its iteration, serialisation and equality
+        /// do not depend on the order pages were first written.
+        #[test]
+        fn image_matches_a_btreemap_model(ops in accesses()) {
+            let mut img = MemImage::new();
+            let mut model = BTreeMap::new();
+            let mut cur = PageCursor::default();
+            for (k, &(page, word, value, write)) in ops.iter().enumerate() {
+                let addr = (page << PAGE_SHIFT) | word << 3;
+                let want = model.get(&addr).copied().unwrap_or(0);
+                if write {
+                    if k % 2 == 0 {
+                        img.write_word_with(addr, value, &mut cur);
+                    } else {
+                        img.write_word(addr, value);
+                    }
+                    model.insert(addr, value);
+                } else if k % 2 == 0 {
+                    prop_assert_eq!(img.resident_word_with(addr | 5, &mut cur).unwrap_or(0), want);
+                } else {
+                    prop_assert_eq!(img.read_word(addr), want);
+                }
+            }
+            let nonzero: Vec<_> = model.iter().filter(|(_, &w)| w != 0).map(|(&a, &w)| (a, w)).collect();
+            prop_assert_eq!(img.words().collect::<Vec<_>>(), nonzero.clone());
+
+            // The same final contents, written in reverse page order
+            // with the zero words left out: equal, and the same bytes.
+            let reversed: MemImage = nonzero.iter().rev().copied().collect();
+            prop_assert!(reversed == img);
+            let mut a = ArchState { pc: 0, regs: [0; NUM_LOG_REGS], retired: 0, halted: false, mem: img };
+            let b = ArchState { mem: reversed, ..a.clone() };
+            prop_assert_eq!(a.to_json(), b.to_json());
+            prop_assert_eq!(ArchState::from_json(&a.to_json()).map_err(TestCaseError::fail)?, b.clone());
+
+            // A zero-filled resident page is an absent one.
+            a.mem.write_word(0x7_7777_7000, 0);
+            prop_assert!(a == b);
+        }
+
+        #[test]
+        fn write_read_roundtrip(addr in any::<u64>(), val in any::<u64>()) {
+            let addr = addr & !7;
+            let mut m = MemImage::new();
+            m.write_word(addr, val);
+            prop_assert_eq!(m.read_word(addr), val);
+        }
+
+        #[test]
+        fn distinct_words_independent(a in any::<u64>(), b in any::<u64>(), va in any::<u64>(), vb in any::<u64>()) {
+            let (a, b) = (a & !7, b & !7);
+            prop_assume!(a != b);
+            let mut m = MemImage::new();
+            let mut cur = PageCursor::default();
+            m.write_word_with(a, va, &mut cur);
+            m.write_word_with(b, vb, &mut cur);
+            prop_assert_eq!(m.resident_word_with(a, &mut cur), Some(va));
+            prop_assert_eq!(m.read_word(b), vb);
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub mod program;
 pub mod reg;
 pub mod semantics;
 
-pub use arch::{ArchState, MemImage};
+pub use arch::{ArchState, MemImage, PageCursor};
 pub use asm::{Asm, AsmError};
 pub use instr::{Instr, Operand};
 pub use opcode::{ExecClass, Opcode};

@@ -1,8 +1,9 @@
 //! Set-associative cache with true-LRU replacement and write-back policy.
 //!
-//! The cache models tags and dirty state only; data values live in
-//! [`crate::DataStore`]. Lookups and fills update LRU order; fills report
-//! the victim line so the memory system can charge write-back bus traffic.
+//! The cache models tags and dirty state only; data values live in the
+//! simulator's [`rix_isa::MemImage`]. Lookups and fills update LRU
+//! order; fills report the victim line so the memory system can charge
+//! write-back bus traffic.
 
 use crate::Cycle;
 

@@ -18,13 +18,13 @@
 //! This captures hit-under-miss, MSHR merging and bus contention without
 //! an event queue, which keeps the out-of-order core simple.
 //!
-//! [`DataStore`] holds the actual memory *values* (sparse 64-bit words);
-//! the caches model timing only. The split mirrors how execute-driven
-//! simulators like SimpleScalar keep functional and timing state separate.
+//! The caches model timing only. Memory *values* live in the
+//! architectural [`rix_isa::MemImage`] the simulator retires into; the
+//! split mirrors how execute-driven simulators like SimpleScalar keep
+//! functional and timing state separate.
 
 pub mod bus;
 pub mod cache;
-pub mod datastore;
 pub mod mshr;
 pub mod system;
 pub mod tlb;
@@ -32,7 +32,6 @@ pub mod writebuf;
 
 pub use bus::Bus;
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use datastore::DataStore;
 pub use mshr::MshrFile;
 pub use system::{MemConfig, MemSystem, MemSystemStats};
 pub use tlb::Tlb;

@@ -59,6 +59,8 @@
 #[macro_use]
 mod invariant;
 
+mod archmem;
+
 pub mod checkpoint;
 pub mod config;
 pub mod lsq;

@@ -32,7 +32,8 @@ use crate::config::SimConfig;
 use crate::lsq::{Cht, StoreQueue};
 use crate::session::{StopReason, StopWhen};
 use crate::stats::{RunResult, SimStats};
-use rix_isa::ArchState;
+use crate::archmem::ArchMem;
+use rix_isa::{ArchState, MemImage};
 use rix_frontend::{FrontEnd, SpecCheckpoint};
 use rix_integration::{
     IntegrationKind, It, ItEntry, ItKey, ItOutput, Lisp, MapTable, PregRef, RefVector,
@@ -40,7 +41,7 @@ use rix_integration::{
 };
 use rix_integration::{IntegrationEvent, IntegrationType, ResultStatus};
 use rix_isa::{semantics, ExecClass, InstAddr, Instr, Opcode, Operand, Program};
-use rix_mem::{Cycle, DataStore, MemSystem};
+use rix_mem::{Cycle, MemSystem};
 use std::collections::VecDeque;
 
 const NO_CYCLE: Cycle = u64::MAX;
@@ -402,7 +403,7 @@ pub struct Simulator<'p> {
     // Architectural state.
     arch_regs: [u64; rix_isa::reg::NUM_LOG_REGS],
     arch_next_pc: InstAddr,
-    arch_mem: DataStore,
+    arch_mem: ArchMem<'p>,
     mem: MemSystem,
     // Outcome.
     stats: SimStats,
@@ -421,9 +422,9 @@ impl<'p> Simulator<'p> {
     pub fn new(program: &'p Program, cfg: SimConfig) -> Self {
         let mut regs = [0u64; rix_isa::reg::NUM_LOG_REGS];
         regs[rix_isa::reg::SP.index()] = cfg.stack_top;
-        let mut arch_mem = DataStore::new();
+        let mut arch_mem = MemImage::new();
         arch_mem.load_segments(program.data_segments());
-        Self::boot(program, cfg, &regs, arch_mem, program.entry(), 0, false)
+        Self::boot(program, cfg, &regs, ArchMem::new(arch_mem), program.entry(), 0, false)
     }
 
     /// Boots the detailed machine **mid-program** from an architectural
@@ -440,14 +441,17 @@ impl<'p> Simulator<'p> {
     /// interpreter visits from `state` onward (`ArchState::retired`
     /// positions continue from `state.retired`).
     ///
+    /// The machine borrows `state` and reads its memory in place,
+    /// copying a page only at the first retired store to it, so every
+    /// arm of a sweep boots from one snapshot without copying the image.
+    ///
     /// # Panics
     ///
     /// As [`Simulator::new`].
     #[must_use]
-    pub fn from_arch_state(program: &'p Program, cfg: SimConfig, state: &ArchState) -> Self {
-        let mut arch_mem = DataStore::new();
-        arch_mem.load_image(&state.mem);
-        Self::boot(program, cfg, &state.regs, arch_mem, state.pc, state.retired, state.halted)
+    pub fn from_arch_state(program: &'p Program, cfg: SimConfig, state: &'p ArchState) -> Self {
+        let mem = ArchMem::over(&state.mem);
+        Self::boot(program, cfg, &state.regs, mem, state.pc, state.retired, state.halted)
     }
 
     /// The shared construction path of [`Simulator::new`] and
@@ -457,7 +461,7 @@ impl<'p> Simulator<'p> {
         program: &'p Program,
         cfg: SimConfig,
         regs: &[u64; rix_isa::reg::NUM_LOG_REGS],
-        arch_mem: DataStore,
+        arch_mem: ArchMem<'p>,
         pc: InstAddr,
         retired_total: u64,
         halted: bool,
@@ -690,7 +694,7 @@ impl<'p> Simulator<'p> {
             regs: self.arch_regs,
             retired: self.retired_total,
             halted: self.halted,
-            mem: self.arch_mem.dump_image(),
+            mem: self.arch_mem.to_image(),
         }
     }
 
@@ -755,7 +759,9 @@ impl<'p> Simulator<'p> {
             "checkpoint belongs to a different program (same benchmark name but a \
              different seed, or a different benchmark entirely)"
         );
-        let mut sim = Self::from_arch_state(program, cfg, &ck.arch);
+        let a = &ck.arch;
+        let mem = ArchMem::new(a.mem.clone());
+        let mut sim = Self::boot(program, cfg, &a.regs, mem, a.pc, a.retired, a.halted);
         sim.stats = ck.stats.clone();
         sim.cycle = ck.cycle;
         sim.cycle_base = ck.cycle - ck.stats.cycles;
@@ -2256,7 +2262,8 @@ impl<'p> Simulator<'p> {
             ExecClass::Load => {
                 let ea = semantics::effective_addr(instr.op, g1.expect("base"), instr.disp);
                 golden_ea = Some(ea);
-                golden_value = Some(self.arch_mem.load(instr.op, ea));
+                let word = self.arch_mem.read_word(ea);
+                golden_value = Some(semantics::load_from_word(instr.op, ea, word));
             }
             ExecClass::Store => {
                 golden_ea = Some(semantics::effective_addr(
@@ -2334,7 +2341,8 @@ impl<'p> Simulator<'p> {
                 return false;
             }
             let data = gop2.expect("store data");
-            self.arch_mem.store(instr.op, ea, data);
+            let merged = semantics::merge_store(instr.op, ea, self.arch_mem.read_word(ea), data);
+            self.arch_mem.write_word(ea & !7, merged);
             let _ = self.sq.pop_retire(seq);
             if self.needs_golden {
                 // Stores retire in order and the overlay is seq-ordered,

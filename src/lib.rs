@@ -83,10 +83,11 @@
 //!
 //! Architectural state is one shared type, [`ArchState`] — PC, logical
 //! registers, memory image, retired position — that every engine speaks:
-//! the reference interpreter ([`Interp`]) is a thin stepper over one,
-//! the detailed simulator retires into one and can boot from one
-//! mid-program, and sessions serialise one to disk inside a
-//! [`Checkpoint`].
+//! the reference interpreter ([`Interp`]) steps one, the detailed
+//! simulator retires into one and can boot from one mid-program
+//! (borrowing it: the arms of a sweep share the snapshot's memory until
+//! each first stores to a page), and sessions serialise one to disk
+//! inside a [`Checkpoint`].
 //!
 //! [`ArchState`]: isa::ArchState
 //! [`Interp`]: isa::interp::Interp

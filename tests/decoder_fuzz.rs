@@ -15,10 +15,16 @@
 //! accept exactly what the tree decoders accept, and decode it to the
 //! same value. `ResultCache::load` on arbitrary file bytes returns the
 //! stored payload or nothing.
+//!
+//! Underneath them all, `Json::parse` fed directly — arbitrary bytes,
+//! token soup, valid documents with a byte spliced in, bracket runs
+//! around its nesting cap — returns `Ok` or `Err`, never nests an
+//! accepted value past `MAX_DEPTH`, and re-parses what it dumps of
+//! every value it accepts to the same value.
 
 use proptest::prelude::*;
 use rix::integration::IntegrationStats;
-use rix::isa::json::Json;
+use rix::isa::json::{Json, MAX_DEPTH};
 use rix::mem::{CacheStats, MemSystemStats};
 use rix::prelude::*;
 use rix::dispatch::ResultCache;
@@ -217,6 +223,49 @@ proptest! {
     }
 
     #[test]
+    fn json_parse_returns_on_any_input_and_round_trips_what_it_accepts(
+        how in 0u64..4,
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+        picks in proptest::collection::vec(0usize..TOKENS.len(), 0..48),
+        words in proptest::collection::vec(any::<u64>(), 64..65),
+        levels in 0usize..4,
+        at in any::<u64>(),
+    ) {
+        let mut k = 0;
+        let mut n = || {
+            k += 1;
+            words[k % words.len()]
+        };
+        let soup: String = picks.iter().map(|&i| TOKENS[i]).collect();
+        let brackets = MAX_DEPTH - 2 + (at % 5) as usize;
+        let text = match how {
+            0 => String::from_utf8_lossy(&bytes).into_owned(),
+            1 => soup.clone(),
+            // A valid document with one arbitrary byte spliced in.
+            2 => {
+                let mut doc = random_json(&mut n, levels).dump().into_bytes();
+                let at = (at % (doc.len() as u64 + 1)) as usize;
+                doc.insert(at, bytes.first().copied().unwrap_or(b'"'));
+                String::from_utf8_lossy(&doc).into_owned()
+            }
+            // Bracket runs at the nesting cap, around token soup.
+            _ => format!("{}{soup}{}", "[".repeat(brackets), "]".repeat(brackets)),
+        };
+        match Json::parse(&text) {
+            Ok(v) => {
+                prop_assert!(depth(&v) <= MAX_DEPTH, "accepted {} levels", depth(&v));
+                prop_assert_eq!(Json::parse(&v.dump()), Ok(v.clone()));
+            }
+            Err(e) => prop_assert!(!e.is_empty()),
+        }
+        if how == 3 && soup.is_empty() {
+            prop_assert_eq!(Json::parse(&text).is_ok(), brackets <= MAX_DEPTH);
+        }
+        let v = random_json(&mut n, levels);
+        prop_assert_eq!(Json::parse(&v.dump()), Ok(v));
+    }
+
+    #[test]
     fn truncated_documents_are_errors(which in 0u64..3, cut in any::<u64>()) {
         let d = docs();
         let text = [&d.config, &d.checkpoint, &d.result][which as usize].dump();
@@ -354,6 +403,33 @@ proptest! {
     }
 }
 
+/// How deeply `v`'s arrays and objects nest (a scalar is 0).
+fn depth(v: &Json) -> usize {
+    match v {
+        Json::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+        Json::Obj(fields) => 1 + fields.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+/// A random value, `levels` deep at most, drawn from `n`: awkward
+/// numbers, strings with quotes, escapes, control and non-ASCII
+/// characters, and arrays and objects of those.
+fn random_json(n: &mut impl FnMut() -> u64, levels: usize) -> Json {
+    const NUMS: [&str; 6] = ["0", "-1", "1e400", "18446744073709551616", "0.5", "-0.0e-7"];
+    const CHARS: [char; 8] = ['a', '"', '\\', '\n', '\u{1}', 'é', '\u{1f600}', '/'];
+    let w = n();
+    let count = (w >> 8) % 4;
+    match w % if levels == 0 { 5 } else { 7 } {
+        0 => Json::Null,
+        1 => Json::Bool(w & 1 << 12 != 0),
+        2 => Json::Num(NUMS[(w >> 8) as usize % NUMS.len()].into()),
+        3 | 4 => Json::Str((0..count * 2).map(|k| CHARS[(w >> (16 + 3 * k)) as usize % 8]).collect()),
+        5 => Json::Arr((0..count).map(|_| random_json(n, levels - 1)).collect()),
+        _ => Json::Obj((0..count).map(|k| (format!("k{k}"), random_json(n, levels - 1))).collect()),
+    }
+}
+
 /// The node at `path` (see [`node_paths`]).
 fn node_at<'a>(v: &'a Json, path: &[usize]) -> &'a Json {
     match (v, path.split_first()) {
@@ -444,7 +520,7 @@ fn nesting_past_the_parser_limit_is_an_error() {
         let mut paths = Vec::new();
         node_paths(&deep, &mut Vec::new(), &mut paths);
         let leaf = paths.last().expect("non-empty");
-        *node_mut(&mut deep, leaf) = nested(rix::isa::json::MAX_DEPTH + 10);
+        *node_mut(&mut deep, leaf) = nested(MAX_DEPTH + 10);
         let text = deep.dump();
         assert!(SimConfig::from_json(&text).unwrap_err().starts_with("nesting"));
         assert!(Checkpoint::from_json(&text).unwrap_err().starts_with("nesting"));
